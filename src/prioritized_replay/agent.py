@@ -67,7 +67,6 @@ class RunConfig:
     clip_td: bool = False
     use_is_weights: bool = True
     resort_interval: int = 1_000_000
-    tree_rebuild_interval: int = 1_000_000
     target_copy_period: int = 1
 
     def __post_init__(self) -> None:
@@ -412,12 +411,9 @@ def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
     tc = list(cq) if use_target else cq
     tb = bq
     schedule = AnnealSchedule(beta0, 1.0, budget)
-    proportional = strategy == "proportional_stochastic"
-    rebuild_every = config.tree_rebuild_interval if proportional else 0
     memory_len = len(sampler)
 
     updates = 0
-    priority_updates = 0
     converged = False
     while updates < budget and not converged:
         beta = schedule.value(updates)
@@ -442,9 +438,6 @@ def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
                 delta = rewards[slot] - q_sa
 
             sampler.update_priority(slot, delta)
-            priority_updates += 1
-            if rebuild_every and priority_updates % rebuild_every == 0:
-                sampler.rebuild()
 
             w = float(weights[j]) if weights is not None else 1.0
             d = eta * w * delta

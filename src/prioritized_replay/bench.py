@@ -104,8 +104,18 @@ class SweepConfig:
                 )
         if not self.seeds:
             raise SweepConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise SweepConfigError(f"seeds must be distinct, got {self.seeds}")
         if self.budget < 1:
             raise SweepConfigError("budget must be a positive integer")
+        if self.minibatch < 1:
+            raise SweepConfigError("minibatch must be a positive integer")
+        if not self.epsilon > 0:
+            raise SweepConfigError("epsilon must be positive")
+        if self.alpha is not None and self.alpha < 0:
+            raise SweepConfigError("alpha must be nonnegative")
+        if self.resort_interval < 1:
+            raise SweepConfigError("resort_interval must be a positive integer")
 
 
 _INT_TUPLE_KEYS = {"sizes", "seeds"}

@@ -179,22 +179,27 @@ class PrioritizedMemory:
         return slot
 
     def update_priority(self, slot: int, td_error: float) -> None:
-        """Refresh ``slot``'s priority from a freshly computed TD error."""
+        """Refresh ``slot``'s priority from a freshly computed TD error.
+
+        A NaN or infinite ``td_error`` raises ValueError and changes nothing.
+        """
         self._check_occupied(slot)
+        if not math.isfinite(td_error):
+            raise ValueError(f"td_error must be finite, got {td_error!r}")
         magnitude = td_magnitude(td_error, self.config.clip_td)
         priority = self._priority_from_magnitude(magnitude)
+        self._assign_priority(slot, priority)
         if priority > self._max_priority:
             self._max_priority = priority
-        self._assign_priority(slot, priority)
 
     def set_priority(self, slot: int, priority: float) -> None:
         """Directly assign a priority, e.g. after an external transform."""
         self._check_occupied(slot)
-        if not priority > 0.0:
-            raise ValueError("priorities must be positive")
+        if not (priority > 0.0 and math.isfinite(priority)):
+            raise ValueError(f"priorities must be positive and finite, got {priority!r}")
+        self._assign_priority(slot, priority)
         if priority > self._max_priority:
             self._max_priority = priority
-        self._assign_priority(slot, priority)
 
     def _check_occupied(self, slot: int) -> None:
         if not self.is_occupied(slot):

@@ -9,6 +9,8 @@ so they cost O(log capacity).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import PrioritizedMemory, SampledBatch, SamplerConfig
@@ -53,19 +55,21 @@ class SumTree:
         """Write ``value`` at a leaf and refresh the sums on its root path."""
         if not 0 <= index < self.capacity:
             raise IndexError(f"leaf index {index} out of range for capacity {self.capacity}")
-        if not (np.isfinite(value) and value >= 0.0):
+        value = float(value)
+        if not (math.isfinite(value) and value >= 0.0):
             raise ValueError("leaf values must be nonnegative and finite")
-        nodes = self.nodes
+        # Python floats over the array's own buffer: numpy scalar indexing
+        # costs several times the arithmetic on this per-call path
+        nodes = self.nodes.data
         node = self.capacity - 1 + index
         nodes[node] = value
-        self.node_touches += 1
         while node:
             node = (node - 1) >> 1
             left = 2 * node + 1
             # recompute from both children rather than propagating a delta so
             # internal sums cannot drift over long runs
             nodes[node] = nodes[left] + nodes[left + 1]
-            self.node_touches += 1
+        self.node_touches += self.levels + 1
 
     def find_by_value(self, value: float) -> int:
         """Leaf whose half-open cumulative interval [prefix, prefix + p) contains ``value``.
@@ -74,12 +78,12 @@ class SumTree:
         otherwise subtracts that sum and descends right, so a value exactly on
         a boundary belongs to the right neighbor.
         """
-        total = self.nodes[0]
+        nodes = self.nodes.data
+        total = nodes[0]
         if total <= 0.0:
             raise ValueError("tree holds no positive mass")
         if not 0.0 <= value < total:
             raise ValueError(f"value {value!r} outside [0, {total!r})")
-        nodes = self.nodes
         node = 0
         for _ in range(self.levels):
             left = 2 * node + 1
@@ -128,7 +132,7 @@ class ProportionalSampler(PrioritizedMemory):
     The exponent is folded in at write time: leaves store priority**alpha, so
     the tree root is directly the normalizer. Changing alpha therefore
     requires :meth:`rebuild`, which recomputes every leaf from the raw
-    priorities (also useful as a periodic guard against float drift).
+    priorities.
 
     Minibatches are stratified: total mass splits into k equal ranges and one
     value is drawn uniformly from each, which reproduces the target
@@ -151,8 +155,10 @@ class ProportionalSampler(PrioritizedMemory):
         return magnitude + self.config.epsilon
 
     def _assign_priority(self, slot: int, priority: float) -> None:
-        self._raw[slot] = priority
+        # the tree validates the leaf, so write it first: a rejected write
+        # leaves the raw priority untouched too
         self.tree.set_leaf(slot, priority**self._alpha)
+        self._raw[slot] = priority
 
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)
@@ -179,12 +185,20 @@ class ProportionalSampler(PrioritizedMemory):
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
         rng = self._rng if rng is None else rng
-        leaves = self._draw_indices(k, rng)
-        total = self.tree.total
-        probs = self.tree.nodes[self.tree.capacity - 1 + leaves] / total
+        tree = self.tree
+        total = tree.total
+        top = math.nextafter(total, 0.0)
+        # one draw per stratum, with sample_many's arithmetic in the same order,
+        # so both paths pick the same slots from the same generator state
+        leaves = [
+            tree.find_by_value(min((j + u) / k * total, top))
+            for j, u in enumerate(rng.random(k).tolist())
+        ]
+        nodes = tree.nodes.data
+        offset = tree.capacity - 1
         return SampledBatch(
-            indices=leaves.tolist(),
-            probabilities=probs,
+            indices=leaves,
+            probabilities=[nodes[offset + leaf] / total for leaf in leaves],
             transitions=[self._transitions[i] for i in leaves],
         )
 
@@ -200,13 +214,9 @@ class ProportionalSampler(PrioritizedMemory):
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
         rng = self._rng if rng is None else rng
-        return self._draw_indices(batches * k, rng, strata=k).reshape(batches, k)
-
-    def _draw_indices(self, count: int, rng: np.random.Generator, strata: int | None = None) -> np.ndarray:
         total = self.tree.total
-        k = count if strata is None else strata
-        offsets = np.tile(np.arange(k, dtype=np.float64), count // k)
-        values = (offsets + rng.random(count)) / k * total
+        offsets = np.tile(np.arange(k, dtype=np.float64), batches)
+        values = (offsets + rng.random(batches * k)) / k * total
         # guard against the stratum endpoint rounding up onto the total
         np.minimum(values, np.nextafter(total, 0.0), out=values)
-        return self.tree.find_many(values)
+        return self.tree.find_many(values).reshape(batches, k)

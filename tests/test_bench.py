@@ -72,6 +72,18 @@ def test_config_validation():
         SweepConfig(strategies=("magic",))
     with pytest.raises(SweepConfigError):
         SweepConfig(seeds=())
+    # rejected at construction rather than partway through a sweep
+    for bad in (
+        dict(seeds=(1, 1)),
+        dict(minibatch=0),
+        dict(epsilon=0.0),
+        dict(epsilon=-1e-6),
+        dict(alpha=-0.1),
+        dict(resort_interval=0),
+    ):
+        with pytest.raises(SweepConfigError):
+            SweepConfig(**bad)
+    SweepConfig(alpha=0.0, minibatch=1, resort_interval=1)
 
 
 # -- config files ---------------------------------------------------------------

@@ -216,6 +216,27 @@ def test_update_unoccupied_slot_raises(sampler_cls):
         sampler.update_priority(-1, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_non_finite_priority_is_rejected_without_changing_state(sampler_cls, bad):
+    sampler = make_sampler(sampler_cls)
+    for _ in range(3):
+        sampler.store(TERMINAL)
+    sampler.update_priority(1, 0.4)
+    before = (sampler.priority(1), sampler.max_priority, len(sampler))
+    with pytest.raises(ValueError):
+        sampler.update_priority(1, bad)
+    with pytest.raises(ValueError):
+        sampler.set_priority(1, abs(bad))
+    assert (sampler.priority(1), sampler.max_priority, len(sampler)) == before
+    slot = sampler.store(TERMINAL)
+    assert sampler.priority(slot) == before[1]
+    if sampler_cls is ProportionalSampler:
+        leaves = sampler.tree.leaves()
+        assert sampler.tree.total == pytest.approx(leaves.sum())
+    else:
+        assert sampler.heap.heap_ordered()
+
+
 def test_sample_empty_memory_raises(sampler_cls):
     sampler = make_sampler(sampler_cls)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -66,6 +68,23 @@ def test_set_leaf_rejects_bad_input():
         tree.set_leaf(0, -1.0)
     with pytest.raises(IndexError):
         tree.set_leaf(4, 1.0)
+    tree.set_leaf(1, 2.0)
+    before = tree.nodes.copy()
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(ValueError):
+            tree.set_leaf(1, bad)
+    assert np.array_equal(tree.nodes, before)
+
+
+def test_writes_reach_a_rebound_or_unpickled_array():
+    tree = filled_tree([1, 2, 3, 4])
+    tree.nodes = tree.nodes.copy()
+    tree.set_leaf(0, 5.0)
+    assert tree.total == 14.0
+    clone = pickle.loads(pickle.dumps(tree))
+    clone.set_leaf(3, 0.0)
+    assert (clone.total, tree.total) == (10.0, 14.0)
+    assert clone.find_by_value(9.9) == 2
 
 
 # -- value lookup ---------------------------------------------------------------
@@ -224,3 +243,20 @@ def test_eviction_removes_old_mass_in_the_same_call():
     sampler.store(TERMINAL)  # overwrites slot 0, re-entering at the running max
     assert sampler.tree.total == pytest.approx(total_before)
     assert sampler.priority(0) == pytest.approx(sampler.max_priority)
+
+
+@pytest.mark.parametrize("capacity, occupied, k", [(8, 8, 4), (37, 37, 16), (37, 5, 16), (1000, 700, 32)])
+def test_sample_draws_what_sample_many_draws(capacity, occupied, k):
+    """The per-call and the bulk path give the same slots and probabilities."""
+    sampler = ProportionalSampler(SamplerConfig(capacity=capacity, alpha=0.6, minibatch=k))
+    td_rng = np.random.default_rng(capacity)
+    for _ in range(occupied):
+        sampler.store(TERMINAL)
+    for slot, td in enumerate(td_rng.standard_t(2, size=occupied)):
+        sampler.update_priority(slot, float(td))
+    offset = sampler.tree.capacity - 1
+    for seed in range(5):
+        batch = sampler.sample(k, rng=np.random.default_rng(seed))
+        bulk = sampler.sample_many(k, 1, rng=np.random.default_rng(seed))[0]
+        assert batch.indices == bulk.tolist()
+        assert np.array_equal(batch.probabilities, sampler.tree.nodes[offset + bulk] / sampler.tree.total)

@@ -126,6 +126,16 @@ _FLOAT_KEYS = {"alpha", "beta0", "eta", "epsilon", "mse_threshold"}
 _STR_KEYS = {"out_dir"}
 
 
+def parse_on_off(raw: str) -> bool:
+    """``on``/``true``/``1``/``yes`` or ``off``/``false``/``0``/``no``, any case."""
+    lowered = raw.lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"expected on or off, got {raw!r}")
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
@@ -134,12 +144,7 @@ def _parse_value(key: str, raw: str):
         if key in _STR_TUPLE_KEYS:
             return tuple(part.strip() for part in raw.split(",") if part.strip())
         if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("on", "true", "1", "yes"):
-                return True
-            if lowered in ("off", "false", "0", "no"):
-                return False
-            raise ValueError(f"expected on/off, got {raw!r}")
+            return parse_on_off(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:

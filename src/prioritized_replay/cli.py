@@ -15,6 +15,7 @@ from .bench import (
     SweepConfig,
     SweepConfigError,
     load_sweep_config,
+    parse_on_off,
     run_sweep,
     validate_samplers,
     write_results,
@@ -49,12 +50,10 @@ def _seed_spec(raw: str) -> tuple[int, ...]:
 
 
 def _on_off(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected on or off, got {raw!r}")
+    try:
+        return parse_on_off(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

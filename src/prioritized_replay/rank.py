@@ -11,6 +11,7 @@ each segment while keeping segment masses equal up to discreteness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ class RankStore:
     key update sifts the entry and bumps ``steps_since_sort``; once that
     counter reaches ``resort_interval`` the array is fully sorted (which also
     restores exact ranks) and the counter resets. The inverse index
-    ``slot -> position`` is maintained through every swap.
+    ``slot -> position`` is maintained through every move.
     """
 
     def __init__(self, capacity: int, resort_interval: int = 1_000_000):
@@ -74,25 +75,25 @@ class RankStore:
             raise ValueError(f"slot {slot} already present")
         self._keys.append(key)
         self._slots.append(slot)
-        self._pos[slot] = len(self._keys) - 1
-        self._sift_up(len(self._keys) - 1)
+        self._sift(len(self._keys) - 1, slot, key)
 
     def update(self, slot: int, key: float) -> None:
         i = self._pos[slot]
         if i < 0:
             raise KeyError(f"slot {slot} not present")
-        self._keys[i] = key
-        i = self._sift_up(i)
-        self._sift_down(i)
+        self._sift(i, slot, key)
         self.steps_since_sort += 1
         if self.steps_since_sort >= self.resort_interval:
             self.sort()
 
     def sort(self) -> None:
         """Fully sort by key descending (ties: older slot first); resets the counter."""
-        order = sorted(range(len(self._keys)), key=lambda i: (-self._keys[i], self._slots[i]))
-        self._keys = [self._keys[i] for i in order]
-        self._slots = [self._slots[i] for i in order]
+        # slots are unique, so (key descending, slot ascending) is a total
+        # order and the permutation is the one a tuple-key sort gives
+        order = np.lexsort((np.asarray(self._slots), -np.asarray(self._keys))).tolist()
+        keys, slots = self._keys, self._slots
+        self._keys = [keys[i] for i in order]
+        self._slots = [slots[i] for i in order]
         for position, slot in enumerate(self._slots):
             self._pos[slot] = position
         self.steps_since_sort = 0
@@ -101,39 +102,42 @@ class RankStore:
         keys = self._keys
         return all(keys[(i - 1) >> 1] >= keys[i] for i in range(1, len(keys)))
 
-    def _sift_up(self, i: int) -> int:
-        keys = self._keys
+    def _sift(self, i: int, slot: int, key: float) -> None:
+        """Place ``(key, slot)`` at position ``i`` and restore the heap order.
+
+        The entry moves up while its key is strictly above its parent's, and
+        only if it did not move up, down while a child's key is strictly above
+        its own (the left child wins a tie between children). Every displaced
+        entry shifts one level into the hole and the moving entry is written
+        once, at its final position: the layout a sift by pairwise swaps gives.
+        """
+        keys, slots, pos = self._keys, self._slots, self._pos
+        start = i
         while i > 0:
             parent = (i - 1) >> 1
-            if keys[i] > keys[parent]:
-                self._swap(i, parent)
-                i = parent
-            else:
+            if not key > keys[parent]:
                 break
-        return i
-
-    def _sift_down(self, i: int) -> int:
-        keys = self._keys
-        n = len(keys)
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                return i
-            largest = left if keys[left] > keys[i] else i
-            right = left + 1
-            if right < n and keys[right] > keys[largest]:
-                largest = right
-            if largest == i:
-                return i
-            self._swap(i, largest)
-            i = largest
-
-    def _swap(self, i: int, j: int) -> None:
-        keys, slots, pos = self._keys, self._slots, self._pos
-        keys[i], keys[j] = keys[j], keys[i]
-        slots[i], slots[j] = slots[j], slots[i]
-        pos[slots[i]] = i
-        pos[slots[j]] = j
+            keys[i] = keys[parent]
+            slots[i] = moved = slots[parent]
+            pos[moved] = i
+            i = parent
+        if i == start:
+            n = len(keys)
+            while True:
+                child = 2 * i + 1
+                if child >= n:
+                    break
+                if child + 1 < n and keys[child + 1] > keys[child]:
+                    child += 1
+                if not keys[child] > key:
+                    break
+                keys[i] = keys[child]
+                slots[i] = moved = slots[child]
+                pos[moved] = i
+                i = child
+        keys[i] = key
+        slots[i] = slot
+        pos[slot] = i
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,22 @@ class RankSampler(PrioritizedMemory):
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
         rng = self._rng if rng is None else rng
-        ranks, probs = self._draw_ranks(k, rng, strata=k)
-        slots = [self.heap.slot_at(int(r)) for r in ranks]
+        part = self.partition_for(k)
+        bounds, knots = part.boundaries, part.cumulative
+        last_piece, last_rank = part.segments - 1, self._size - 1
+        heap_slots = self.heap._slots
+        # _draw_ranks' arithmetic in the same order, on Python scalars: numpy's
+        # per-call overhead on k-element arrays costs more than the arithmetic
+        slots, probs = [], []
+        for j, r in enumerate(rng.random(k).tolist()):
+            u = (j + r) / k
+            piece = min(max(bisect_right(knots, u) - 1, 0), last_piece)
+            lo = bounds[piece]
+            count = bounds[piece + 1] - lo
+            span = knots[piece + 1] - knots[piece]
+            rank = lo + min(int((u - knots[piece]) / span * count), count - 1)
+            slots.append(heap_slots[min(max(rank, 0), last_rank)])
+            probs.append(span / count)
         return SampledBatch(
             indices=slots,
             probabilities=probs,

@@ -170,11 +170,10 @@ class ProportionalSampler(PrioritizedMemory):
             if alpha < 0:
                 raise ValueError("alpha must be nonnegative")
             self._alpha = alpha
-        occupied = self._raw[: self.config.capacity] > 0.0
-        leaves = np.zeros(self.tree.capacity, dtype=np.float64)
-        leaves[: self.config.capacity][occupied] = (
-            self._raw[: self.config.capacity][occupied] ** self._alpha
-        )
+        # the scalar power, as every per-call write uses: numpy's vectorized
+        # power can differ from it in the last bit
+        alpha = self._alpha
+        leaves = [raw**alpha if raw > 0.0 else 0.0 for raw in self._raw.tolist()]
         self.tree.nodes[self.tree.capacity - 1 :] = leaves
         self.tree.rebuild()
 

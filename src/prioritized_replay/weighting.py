@@ -58,7 +58,8 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         raise ValueError("probabilities must be non-empty")
-    if not np.all(np.isfinite(p)) or np.any(p <= 0.0) or np.any(p > 1.0):
+    # NaN fails every comparison, so this one test rejects it too
+    if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in (0, 1]")
     if memory_size < 1:
         raise ValueError("memory_size must be a positive integer")

@@ -20,7 +20,7 @@ from prioritized_replay.bench import (
     validate_samplers,
     write_results,
 )
-from prioritized_replay.cli import main
+from prioritized_replay.cli import build_parser, main
 
 TINY = dict(
     sizes=(2, 3),
@@ -128,6 +128,23 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(SweepConfigError, match="KEY = VALUE"):
         load_sweep_config(path)
+
+
+@pytest.mark.parametrize("word, value", [("on", True), ("YES", True), ("1", True), ("Off", False), ("no", False), ("0", False)])
+def test_on_off_words_read_the_same_in_files_and_flags(tmp_path, word, value):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"clip_td = {word}\n")
+    assert load_sweep_config(path).clip_td is value
+    assert build_parser().parse_args(["sweep", "--clip-td", word]).clip_td is value
+
+
+def test_a_bad_on_off_word_is_refused_alike_in_files_and_flags(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("use_is_weights = maybe\n")
+    with pytest.raises(SweepConfigError, match="sweep.cfg:1: expected on or off, got 'maybe'"):
+        load_sweep_config(path)
+    assert main(["sweep", "--is-weights", "maybe"]) == 1
+    assert "expected on or off, got 'maybe'" in capsys.readouterr().err
 
 
 # -- sweeps ----------------------------------------------------------------------

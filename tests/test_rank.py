@@ -126,6 +126,107 @@ def test_heap_property_holds_after_every_operation(ops):
             assert store.slot_at(store.rank_of(s) - 1) == s
 
 
+def test_sort_orders_tied_and_zero_keys_by_slot():
+    store = RankStore(capacity=8)
+    for slot, key in [(5, 0.0), (2, 3.0), (7, 1.5), (0, 0.0), (6, 3.0), (1, 1.5), (4, 0.0), (3, 3.0)]:
+        store.insert(slot, key)
+    store.sort()
+    assert store.slots() == [2, 3, 6, 1, 7, 0, 4, 5]
+    assert store.keys() == [3.0, 3.0, 3.0, 1.5, 1.5, 0.0, 0.0, 0.0]
+    assert [store.rank_of(s) for s in range(8)] == [6, 4, 1, 2, 7, 8, 3, 5]
+
+
+class SwapHeap:
+    """Reference heap: the same rules as RankStore, sifting by pairwise swaps."""
+
+    def __init__(self, capacity, resort_interval):
+        self.keys, self.slots, self.pos = [], [], [-1] * capacity
+        self.resort_interval = resort_interval
+        self.steps_since_sort = 0
+
+    def insert(self, slot, key):
+        self.keys.append(key)
+        self.slots.append(slot)
+        self.pos[slot] = len(self.keys) - 1
+        self._sift_up(len(self.keys) - 1)
+
+    def update(self, slot, key):
+        i = self.pos[slot]
+        self.keys[i] = key
+        self._sift_down(self._sift_up(i))
+        self.steps_since_sort += 1
+        if self.steps_since_sort >= self.resort_interval:
+            self.sort()
+
+    def sort(self):
+        order = sorted(range(len(self.keys)), key=lambda i: (-self.keys[i], self.slots[i]))
+        self.keys = [self.keys[i] for i in order]
+        self.slots = [self.slots[i] for i in order]
+        for position, slot in enumerate(self.slots):
+            self.pos[slot] = position
+        self.steps_since_sort = 0
+
+    def _sift_up(self, i):
+        while i > 0 and self.keys[i] > self.keys[(i - 1) >> 1]:
+            self._swap(i, (i - 1) >> 1)
+            i = (i - 1) >> 1
+        return i
+
+    def _sift_down(self, i):
+        n = len(self.keys)
+        while True:
+            left = 2 * i + 1
+            if left >= n:
+                return
+            largest = left if self.keys[left] > self.keys[i] else i
+            if left + 1 < n and self.keys[left + 1] > self.keys[largest]:
+                largest = left + 1
+            if largest == i:
+                return
+            self._swap(i, largest)
+            i = largest
+
+    def _swap(self, i, j):
+        self.keys[i], self.keys[j] = self.keys[j], self.keys[i]
+        self.slots[i], self.slots[j] = self.slots[j], self.slots[i]
+        self.pos[self.slots[i]] = i
+        self.pos[self.slots[j]] = j
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    resort_interval=st.sampled_from([1, 3, 10**9]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["store", "store", "sort"]),
+            st.integers(0, 23),
+            # few distinct keys, so ties (and ties at 0.0) are common
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0)),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+)
+def test_heap_layout_matches_a_swap_based_heap(resort_interval, ops):
+    store = RankStore(capacity=24, resort_interval=resort_interval)
+    reference = SwapHeap(capacity=24, resort_interval=resort_interval)
+    for op, slot, key in ops:
+        if op == "sort":
+            store.sort()
+            reference.sort()
+        elif slot in store:
+            store.update(slot, key)
+            reference.update(slot, key)
+        else:
+            store.insert(slot, key)
+            reference.insert(slot, key)
+        assert store.keys() == reference.keys
+        assert store.slots() == reference.slots
+        assert store.steps_since_sort == reference.steps_since_sort
+        assert all(store.rank_of(s) == reference.pos[s] + 1 for s in reference.slots)
+        assert store.heap_ordered()
+
+
 # -- partitions -----------------------------------------------------------------
 
 
@@ -286,3 +387,46 @@ def test_heap_order_approximates_ranks_without_resort():
     ranks = exact_ranks([sampler.priority(i) for i in range(64)])
     for slot in range(64):
         assert sampler.heap.rank_of(slot) == ranks[slot]
+
+
+def stored_sampler(size, capacity=None, alpha=0.7, minibatch=16, seed=0):
+    """Sampler holding ``size`` transitions under Student-t TD errors, never re-sorted."""
+    config = SamplerConfig(capacity=capacity or size, alpha=alpha, minibatch=minibatch, seed=seed)
+    sampler = RankSampler(config)
+    for _ in range(size):
+        sampler.store(TERMINAL)
+    for slot, td in enumerate(np.random.default_rng(size).standard_t(2, size=size)):
+        sampler.update_priority(slot, float(td))
+    return sampler
+
+
+def assert_sample_matches_the_bulk_path(sampler, k):
+    for seed in range(5):
+        batch = sampler.sample(k, rng=np.random.default_rng(seed))
+        bulk = sampler.sample_many(k, 1, rng=np.random.default_rng(seed))[0]
+        _, probs = sampler._draw_ranks(k, np.random.default_rng(seed), strata=k)
+        assert batch.indices == bulk.tolist()
+        assert np.array_equal(batch.probabilities, probs)
+
+
+@pytest.mark.parametrize("size, k", [(100, 1), (100, 16), (300, 32), (5, 16), (1, 4)])
+def test_sample_draws_what_sample_many_draws(size, k):
+    """The per-call and the bulk path give the same slots and probabilities."""
+    assert_sample_matches_the_bulk_path(stored_sampler(size, minibatch=k), k)
+
+
+def test_sample_draws_what_sample_many_draws_on_a_reused_partition():
+    sampler = stored_sampler(100, capacity=200)
+    first = sampler.partition_for(16)
+    for _ in range(9):  # occupancy 109, within 10% of 100: ranks past 100 unreachable
+        sampler.store(TERMINAL)
+    assert sampler.partition_for(16) is first
+    assert_sample_matches_the_bulk_path(sampler, 16)
+
+
+def test_sample_draws_what_sample_many_draws_after_set_alpha():
+    sampler = stored_sampler(100)
+    first = sampler.partition_for(16)
+    sampler.set_alpha(0.3)
+    assert sampler.partition_for(16) is not first
+    assert_sample_matches_the_bulk_path(sampler, 16)

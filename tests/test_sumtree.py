@@ -236,6 +236,22 @@ def test_rebuild_with_new_alpha_changes_the_distribution():
     assert sampler.alpha == 0.0
 
 
+def test_rebuild_writes_the_scalar_power_of_every_priority():
+    sampler = ProportionalSampler(SamplerConfig(capacity=1000, alpha=0.6))
+    for _ in range(700):
+        sampler.store(TERMINAL)
+    for slot, td in enumerate(np.random.default_rng(3).uniform(1e-6, 3.0, size=700)):
+        sampler.update_priority(slot, float(td))
+    sampler.rebuild(alpha=0.45)
+    offset = sampler.tree.capacity - 1
+    reference = SumTree(1000)
+    for slot in range(700):
+        leaf = sampler.priority(slot) ** 0.45
+        assert sampler.tree.nodes[offset + slot] == leaf
+        reference.set_leaf(slot, leaf)
+    assert np.array_equal(sampler.tree.nodes, reference.nodes)
+
+
 def test_eviction_removes_old_mass_in_the_same_call():
     sampler = prepared_sampler([1.0, 1.0], alpha=1.0)
     sampler.update_priority(0, 10.0)

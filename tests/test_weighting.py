@@ -36,6 +36,9 @@ def test_weight_errors():
         is_weights([0.0, 0.5], 4, 0.5)
     with pytest.raises(ValueError):
         is_weights([-0.1, 0.5], 4, 0.5)
+    for bad in (np.nan, np.inf, -np.inf, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            is_weights([0.5, bad], 4, 0.5)
     with pytest.raises(ValueError):
         is_weights([0.5], 0, 0.5)
     with pytest.raises(ValueError):

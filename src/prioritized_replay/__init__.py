@@ -31,15 +31,7 @@ from .core import (
 )
 from .rank import Partition, RankSampler, RankStore, build_partition
 from .sumtree import ProportionalSampler, SumTree
-from .weighting import (
-    AnnealSchedule,
-    TransformContext,
-    TransformOptions,
-    TransformedPriority,
-    anneal,
-    apply_priority_transforms,
-    is_weights,
-)
+from .weighting import AnnealSchedule, is_weights
 
 __version__ = "0.1.0"
 
@@ -61,12 +53,7 @@ __all__ = [
     "SamplerConfig",
     "STRATEGIES",
     "SumTree",
-    "TransformContext",
-    "TransformOptions",
-    "TransformedPriority",
     "Transition",
-    "anneal",
-    "apply_priority_transforms",
     "build_partition",
     "fill_memory",
     "greedy_select",

@@ -4,14 +4,16 @@ A run pre-fills the replay memory exhaustively, then repeatedly selects a
 stored transition (per strategy), computes its TD error, refreshes its
 priority where applicable, and takes one gradient step, checking the MSE
 against the ground-truth values after every update. The loop is generic over
-the value representation (tabular or linear with a shared bias feature) and
-over the sampler; stochastic strategies draw stratified minibatches and fold
-in importance-sampling weights, while uniform/greedy/oracle update with
-weight 1.
+the value representation (tabular or linear with a shared bias feature).
+Uniform, greedy-TD and the two stochastic strategies share one replay loop and
+differ only in their selector: which slots it picks, how it weights them
+(stochastic strategies draw stratified minibatches and fold in
+importance-sampling weights, the others update with weight 1) and how a replay
+refreshes a priority. Oracle selection has its own vectorized loop.
 
-The inner loops run on plain Python floats with incrementally maintained
-squared error, so convergence can be checked after every update without a
-sweep; the arithmetic is cross-checked against :class:`LinearQ` in the tests.
+The loops run on plain Python floats with incrementally maintained squared
+error, so convergence can be checked after every update without a sweep; the
+arithmetic is cross-checked against :class:`LinearQ` in the tests.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ DEFAULT_BETA0 = {"rank_stochastic": 0.5, "proportional_stochastic": 0.4}
 
 # Incremental squared-error tracking is resynced from scratch this often.
 _RESYNC_MASK = (1 << 20) - 1
+
+# Uniform replay draws its slots this many at a time.
+_UNIFORM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ def greedy_select(magnitudes) -> int:
     m = np.asarray(magnitudes, dtype=np.float64)
     if m.size == 0:
         raise ValueError("cannot select from an empty memory")
-    return int(np.argmax(m))
+    return int(m.argmax())
 
 
 def oracle_select(transitions: list[Transition], q: LinearQ, truth: np.ndarray) -> int:
@@ -230,25 +235,26 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
         theta = np.random.default_rng(init_seed).normal(0.0, config.init_scale, features.dimension)
 
     loop_rng = np.random.default_rng(loop_seed)
+    beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0.get(config.strategy)
+    schedule = AnnealSchedule(beta0, 1.0, config.budget) if beta0 is not None else None
     if config.strategy == "oracle":
         updates, converged, final_mse = _loop_oracle(
             config, spec, memory, features, truth, theta, instrument
         )
-    elif config.strategy in ("uniform", "greedy_td"):
-        updates, converged, final_mse = _loop_pointwise(
-            config, memory, features, truth, theta, loop_rng, instrument
-        )
     else:
-        updates, converged, final_mse = _loop_stochastic(
-            config, memory, features, truth, theta, loop_rng, instrument
+        if config.strategy == "uniform":
+            selector = _UniformSelector(len(memory), loop_rng)
+        elif config.strategy == "greedy_td":
+            selector = _GreedySelector(len(memory), config.clip_td)
+        else:
+            selector = _PrioritizedSelector(config, memory, loop_rng, schedule, instrument)
+        updates, converged, final_mse = _loop(
+            config, memory, features, truth, theta, selector, instrument
         )
 
     wall_ms = (time.perf_counter() - start) * 1e3
     if instrument is not None:
-        beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0.get(config.strategy)
-        final_beta = (
-            AnnealSchedule(beta0, 1.0, config.budget).value(updates) if beta0 is not None else None
-        )
+        final_beta = schedule.value(updates) if schedule is not None else None
         instrument("done", updates=updates, converged=converged, beta=final_beta)
     return RunResult(
         n_states=config.n_states,
@@ -263,27 +269,8 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     )
 
 
-def _memory_arrays(memory: list[Transition], features: FeatureMap):
-    """Per-slot lookup lists used by the fast loops."""
-    cells = [features.cell(t.prev_state, t.action) for t in memory]
-    rewards = [t.reward for t in memory]
-    discounts = [t.discount for t in memory]
-    next2 = [2 * t.next_state for t in memory]
-    return cells, rewards, discounts, next2
-
-
-def _initial_errors(theta: np.ndarray, features: FeatureMap, truth: np.ndarray):
-    """Cell weights, bias weight, truth list, and the error sums they imply."""
-    cq = [float(v) for v in theta[: features.n_cells]]
-    bq = float(theta[-1]) if features.bias else 0.0
-    truth_flat = [float(v) for v in truth.reshape(-1)]
-    errors = [cq[i] + bq - truth_flat[i] for i in range(features.n_cells)]
-    sse = sum(e * e for e in errors)
-    s1 = sum(errors)
-    return cq, bq, truth_flat, sse, s1
-
-
 def _exact_sums(cq, bq, truth_flat):
+    """Squared error and plain error sum of the cell values against the truth."""
     sse = 0.0
     s1 = 0.0
     for i in range(len(truth_flat)):
@@ -293,116 +280,100 @@ def _exact_sums(cq, bq, truth_flat):
     return sse, s1
 
 
-def _loop_pointwise(config, memory, features, truth, theta, rng, instrument):
-    """Uniform and greedy-TD strategies: one slot, one weight-1 update per step."""
-    cells, rewards, discounts, next2 = _memory_arrays(memory, features)
-    cq, bq, truth_flat, sse, s1 = _initial_errors(theta, features, truth)
+class _Selector:
+    """What the replay loop replays. ``next(updates)`` returns the next slots
+    and their IS weights (``None`` means weight 1); ``refresh(slot, td)``, when
+    set, takes each replayed slot's fresh TD error; ``describe(j, slot)`` adds
+    fields to the ``replay`` event of the batch's ``j``-th slot."""
+
+    refresh = None
+
+    def describe(self, j: int, slot: int) -> dict:
+        return {}
+
+
+class _UniformSelector(_Selector):
+    """Chunks of uniformly drawn slots, each replayed at weight 1."""
+
+    def __init__(self, size: int, rng: np.random.Generator):
+        self.size = size
+        self.rng = rng
+
+    def next(self, updates: int):
+        return self.rng.integers(0, self.size, size=_UNIFORM_CHUNK).tolist(), None
+
+
+class _GreedySelector(_Selector):
+    """The slot with the largest stored |td|, replayed at weight 1; replaying
+    it overwrites the stored magnitude with the fresh |td|."""
+
+    def __init__(self, size: int, clip: bool):
+        # every transition enters at the running max "priority"
+        self.magnitudes = np.full(size, 1.0)
+        self.clip = clip
+
+    def next(self, updates: int):
+        return [greedy_select(self.magnitudes)], None
+
+    def refresh(self, slot: int, td_error: float) -> None:
+        self.magnitudes[slot] = td_magnitude(td_error, self.clip)
+
+
+class _PrioritizedSelector(_Selector):
+    """Stratified minibatches from a rank or proportional sampler, with IS
+    weights under the annealed exponent; replaying refreshes the priority."""
+
+    def __init__(self, config: RunConfig, memory, rng, schedule: AnnealSchedule, instrument):
+        strategy = config.strategy
+        alpha = config.alpha if config.alpha is not None else DEFAULT_ALPHA[strategy]
+        sampler_config = SamplerConfig(
+            capacity=len(memory),
+            alpha=alpha,
+            epsilon=config.epsilon,
+            minibatch=config.minibatch,
+            resort_interval=config.resort_interval,
+            clip_td=config.clip_td,
+        )
+        sampler_cls = RankSampler if strategy == "rank_stochastic" else ProportionalSampler
+        self.sampler = sampler = sampler_cls(sampler_config, rng=rng)
+        for transition in memory:
+            slot = sampler.store(transition)
+            if instrument is not None:
+                instrument("store", slot=slot, priority=sampler.priority(slot))
+        self.refresh = sampler.update_priority
+        self.schedule = schedule
+        self.use_is_weights = config.use_is_weights
+        self.memory_len = len(sampler)
+
+    def next(self, updates: int):
+        self.beta = self.schedule.value(updates)
+        self.batch = batch = self.sampler.sample()
+        if not self.use_is_weights:
+            return batch.indices, None
+        return batch.indices, is_weights(batch.probabilities, self.memory_len, self.beta).tolist()
+
+    def describe(self, j: int, slot: int) -> dict:
+        return {
+            "beta": self.beta,
+            "probability": float(self.batch.probabilities[j]),
+            "priority": self.sampler.priority(slot),
+        }
+
+
+def _loop(config, memory, features, truth, theta, selector, instrument):
+    """Replay what ``selector`` picks, one weighted update per slot, until the
+    values converge or the budget runs out."""
+    cells = [features.cell(t.prev_state, t.action) for t in memory]
+    rewards = [t.reward for t in memory]
+    discounts = [t.discount for t in memory]
+    next2 = [2 * t.next_state for t in memory]
     n_cells = features.n_cells
     n_cells_f = float(n_cells)
     has_bias = features.bias
-    eta = config.step_size
-    budget = config.budget
-    sse_threshold = config.mse_threshold * n_cells
-    size = len(memory)
-    clip = config.clip_td
-    use_target = config.target_copy_period > 1
-    period = config.target_copy_period
-    tc = list(cq) if use_target else cq
-    tb = bq
-
-    greedy = config.strategy == "greedy_td"
-    if greedy:
-        # every transition enters at the running max "priority"; replaying it
-        # overwrites the stored magnitude with the fresh |td|
-        magnitudes = np.full(size, 1.0)
-    else:
-        chunk = rng.integers(0, size, size=8192)
-        chunk_pos = 0
-
-    updates = 0
-    converged = False
-    while updates < budget:
-        if greedy:
-            slot = int(np.argmax(magnitudes))
-        else:
-            if chunk_pos == 8192:
-                chunk = rng.integers(0, size, size=8192)
-                chunk_pos = 0
-            slot = int(chunk[chunk_pos])
-            chunk_pos += 1
-
-        c = cells[slot]
-        g = discounts[slot]
-        q_sa = cq[c] + bq
-        if g != 0.0:
-            ns2 = next2[slot]
-            if use_target:
-                boot = tc[ns2] + tb if cq[ns2] >= cq[ns2 + 1] else tc[ns2 + 1] + tb
-            else:
-                boot = cq[ns2] + bq if cq[ns2] >= cq[ns2 + 1] else cq[ns2 + 1] + bq
-            delta = rewards[slot] + g * boot - q_sa
-        else:
-            delta = rewards[slot] - q_sa
-
-        if greedy:
-            magnitudes[slot] = td_magnitude(delta, clip)
-
-        d = eta * delta
-        if has_bias:
-            sse += 2.0 * d * s1 + n_cells_f * d * d
-            s1 += n_cells_f * d
-            bq += d
-        e_c = cq[c] + bq - truth_flat[c]
-        sse += d * (2.0 * e_c + d)
-        s1 += d
-        cq[c] += d
-        updates += 1
-
-        if instrument is not None:
-            instrument("replay", slot=slot, td_error=delta, weight=1.0, step=updates)
-        if use_target and updates % period == 0:
-            tc[:] = cq
-            tb = bq
-        if sse < sse_threshold or (updates & _RESYNC_MASK) == 0:
-            sse, s1 = _exact_sums(cq, bq, truth_flat)
-            if sse < sse_threshold:
-                converged = True
-                break
-
-    sse, _ = _exact_sums(cq, bq, truth_flat)
-    theta[:n_cells] = cq
-    if has_bias:
-        theta[-1] = bq
-    return updates, converged, sse / n_cells
-
-
-def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
-    """Rank or proportional prioritization with stratified minibatches and IS weights."""
-    strategy = config.strategy
-    alpha = config.alpha if config.alpha is not None else DEFAULT_ALPHA[strategy]
-    beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0[strategy]
-    sampler_config = SamplerConfig(
-        capacity=len(memory),
-        alpha=alpha,
-        epsilon=config.epsilon,
-        minibatch=config.minibatch,
-        resort_interval=config.resort_interval,
-        clip_td=config.clip_td,
-    )
-    if strategy == "rank_stochastic":
-        sampler = RankSampler(sampler_config, rng=rng)
-    else:
-        sampler = ProportionalSampler(sampler_config, rng=rng)
-    for transition in memory:
-        slot = sampler.store(transition)
-        if instrument is not None:
-            instrument("store", slot=slot, priority=sampler.priority(slot))
-
-    cells, rewards, discounts, next2 = _memory_arrays(memory, features)
-    cq, bq, truth_flat, sse, s1 = _initial_errors(theta, features, truth)
-    n_cells = features.n_cells
-    n_cells_f = float(n_cells)
-    has_bias = features.bias
+    cq = [float(v) for v in theta[:n_cells]]
+    bq = float(theta[-1]) if has_bias else 0.0
+    truth_flat = [float(v) for v in truth.reshape(-1)]
+    sse, s1 = _exact_sums(cq, bq, truth_flat)
     eta = config.step_size
     budget = config.budget
     sse_threshold = config.mse_threshold * n_cells
@@ -410,20 +381,13 @@ def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
     period = config.target_copy_period
     tc = list(cq) if use_target else cq
     tb = bq
-    schedule = AnnealSchedule(beta0, 1.0, budget)
-    memory_len = len(sampler)
+    refresh = selector.refresh
 
     updates = 0
     converged = False
     while updates < budget and not converged:
-        beta = schedule.value(updates)
-        batch = sampler.sample()
-        weights = (
-            is_weights(batch.probabilities, memory_len, beta)
-            if config.use_is_weights
-            else None
-        )
-        for j, slot in enumerate(batch.indices):
+        slots, weights = selector.next(updates)
+        for j, slot in enumerate(slots):
             c = cells[slot]
             g = discounts[slot]
             q_sa = cq[c] + bq
@@ -437,9 +401,10 @@ def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
             else:
                 delta = rewards[slot] - q_sa
 
-            sampler.update_priority(slot, delta)
+            if refresh is not None:
+                refresh(slot, delta)
 
-            w = float(weights[j]) if weights is not None else 1.0
+            w = 1.0 if weights is None else weights[j]
             d = eta * w * delta
             if has_bias:
                 sse += 2.0 * d * s1 + n_cells_f * d * d
@@ -453,14 +418,8 @@ def _loop_stochastic(config, memory, features, truth, theta, rng, instrument):
 
             if instrument is not None:
                 instrument(
-                    "replay",
-                    slot=slot,
-                    td_error=delta,
-                    weight=w,
-                    beta=beta,
-                    probability=float(batch.probabilities[j]),
-                    priority=sampler.priority(slot),
-                    step=updates,
+                    "replay", slot=slot, td_error=delta, weight=w,
+                    **selector.describe(j, slot), step=updates,
                 )
             if use_target and updates % period == 0:
                 tc[:] = cq

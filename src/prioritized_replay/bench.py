@@ -361,11 +361,14 @@ def _total_variation(counts: np.ndarray, target: np.ndarray) -> float:
 
 
 def check_sumtree_distribution(
-    alpha: float, draws: int = 1_000_000, size: int = 16, seed: int = 7, threshold: float = 0.005
+    alpha: float, priorities, rng: np.random.Generator, draws: int = 1_000_000,
+    threshold: float = 0.005,
 ) -> CheckResult:
-    """Empirical stratified-sampling frequencies vs. the exact distribution."""
-    rng = np.random.default_rng(seed)
-    priorities = rng.uniform(0.1, 5.0, size)
+    """Empirical stratified-sampling frequencies vs. the exact distribution.
+
+    One slot per entry of ``priorities``; ``rng`` draws the strata.
+    """
+    size = len(priorities)
     sampler = ProportionalSampler(SamplerConfig(capacity=size, alpha=alpha, minibatch=size))
     for i, t in enumerate(_dummy_transitions(size)):
         sampler.store(t)
@@ -385,19 +388,23 @@ def check_sumtree_distribution(
 
 
 def check_rank_distribution(
-    alpha: float, draws: int = 1_000_000, size: int = 16, seed: int = 11, threshold: float = 0.01
+    alpha: float, priorities, rng: np.random.Generator, draws: int = 1_000_000,
+    threshold: float = 0.01,
 ) -> CheckResult:
-    """Empirical rank-sampler frequencies vs. the exact power law (exact ranks)."""
-    rng = np.random.default_rng(seed)
-    magnitudes = rng.uniform(0.1, 5.0, size)
+    """Empirical rank-sampler frequencies vs. the exact power law (exact ranks).
+
+    One slot per entry of ``priorities``, each stored as its |td|; ``rng``
+    draws the strata.
+    """
+    size = len(priorities)
     sampler = RankSampler(
         SamplerConfig(capacity=size, alpha=alpha, minibatch=size, resort_interval=1)
     )
     for i, t in enumerate(_dummy_transitions(size)):
         sampler.store(t)
-        sampler.update_priority(i, magnitudes[i])
+        sampler.update_priority(i, priorities[i])
     sampler.full_sort()
-    order = sorted(range(size), key=lambda i: (-magnitudes[i], i))
+    order = sorted(range(size), key=lambda i: (-priorities[i], i))
     ranks = np.empty(size, dtype=np.int64)
     for rank_index, slot in enumerate(order):
         ranks[slot] = rank_index + 1
@@ -493,8 +500,10 @@ def validate_samplers(draws: int = 1_000_000, seed: int = 0) -> list[CheckResult
     """Run the full sampler validation suite; every check must pass for release."""
     results = []
     for alpha in (0.0, 0.6, 0.7, 1.0):
-        results.append(check_sumtree_distribution(alpha, draws=draws, seed=seed + 7))
-        results.append(check_rank_distribution(alpha, draws=draws, seed=seed + 11))
+        rng = np.random.default_rng(seed + 7)
+        results.append(check_sumtree_distribution(alpha, rng.uniform(0.1, 5.0, 16), rng, draws=draws))
+        rng = np.random.default_rng(seed + 11)
+        results.append(check_rank_distribution(alpha, rng.uniform(0.1, 5.0, 16), rng, draws=draws))
     results.append(check_tree_conservation(seed=seed + 3))
     results.append(check_partition_masses())
     results.append(check_partition_masses(n=1000, alpha=0.0, k=10))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,15 +80,11 @@ class SamplerConfig:
 
 @dataclass
 class SampledBatch:
-    """One stratified minibatch: slot ids, their sampling probabilities, and payloads.
-
-    ``weights`` stays ``None`` until importance-sampling weights are attached.
-    """
+    """One stratified minibatch: slot ids, their sampling probabilities, and payloads."""
 
     indices: list[int]
     probabilities: np.ndarray
     transitions: list[Transition]
-    weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
@@ -193,7 +189,7 @@ class PrioritizedMemory:
             self._max_priority = priority
 
     def set_priority(self, slot: int, priority: float) -> None:
-        """Directly assign a priority, e.g. after an external transform."""
+        """Directly assign a priority, bypassing the TD-error mapping."""
         self._check_occupied(slot)
         if not (priority > 0.0 and math.isfinite(priority)):
             raise ValueError(f"priorities must be positive and finite, got {priority!r}")

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Criteria 4 and 5 share one benchmark sweep (module-scoped fixture); everything
-else runs standalone. Run with ``pytest tests/test_acceptance.py -v`` for the
-per-criterion pass/fail lines.
+else runs standalone. Criteria 1, 3 and 6 run the validation suite's own checks
+(``bench.check_*``) on this suite's seeds and thresholds. Run with
+``pytest tests/test_acceptance.py -v`` for the per-criterion pass/fail lines.
 """
 
 import time
@@ -11,21 +12,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from prioritized_replay import (
-    RankSampler,
-    RankStore,
-    RunConfig,
-    SamplerConfig,
-    SumTree,
-    Transition,
-    build_partition,
-    run_training,
-    sampling_probabilities,
+from prioritized_replay import RankStore, RunConfig, SumTree, run_training
+from prioritized_replay.bench import (
+    SweepConfig,
+    check_is_unbiasedness,
+    check_partition_masses,
+    check_rank_distribution,
+    check_sumtree_distribution,
+    check_tree_conservation,
+    run_sweep,
 )
-from prioritized_replay.bench import SweepConfig, run_sweep
-from prioritized_replay.sumtree import ProportionalSampler
-
-TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
 ALPHAS = (0.0, 0.6, 0.7, 1.0)
 DRAWS = 1_000_000
@@ -36,49 +32,22 @@ def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE criterion {criterion}: PASS - {message}")
 
 
-def total_variation(counts: np.ndarray, target: np.ndarray) -> float:
-    return float(0.5 * np.abs(counts / counts.sum() - target).sum())
-
-
 # -- criterion 1: sampler distributional correctness ------------------------------
 
 
 def test_criterion_1_sampler_distributional_correctness():
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    priorities = rng.uniform(0.05, 4.0, FIXTURE_SIZE)
-    batches = DRAWS // FIXTURE_SIZE
-
+    priorities = np.random.default_rng(2024).uniform(0.05, 4.0, FIXTURE_SIZE)
     for alpha in ALPHAS:
-        sampler = ProportionalSampler(
-            SamplerConfig(capacity=FIXTURE_SIZE, alpha=alpha, minibatch=FIXTURE_SIZE)
+        check = check_sumtree_distribution(
+            alpha, priorities, np.random.default_rng(1), draws=DRAWS, threshold=0.005
         )
-        for i in range(FIXTURE_SIZE):
-            sampler.store(TERMINAL)
-            sampler.update_priority(i, priorities[i] - sampler.config.epsilon)
-        target = sampling_probabilities(priorities, alpha)
-        slots = sampler.sample_many(FIXTURE_SIZE, batches, rng=np.random.default_rng(1))
-        tv = total_variation(np.bincount(slots.ravel(), minlength=FIXTURE_SIZE), target)
-        assert tv < 0.005, f"sum-tree TV {tv} at alpha={alpha}"
-
+        assert check.passed, check.line()
     for alpha in ALPHAS:
-        sampler = RankSampler(
-            SamplerConfig(
-                capacity=FIXTURE_SIZE, alpha=alpha, minibatch=FIXTURE_SIZE, resort_interval=1
-            )
+        check = check_rank_distribution(
+            alpha, priorities, np.random.default_rng(2), draws=DRAWS, threshold=0.01
         )
-        for i in range(FIXTURE_SIZE):
-            sampler.store(TERMINAL)
-            sampler.update_priority(i, priorities[i])
-        sampler.full_sort()
-        order = sorted(range(FIXTURE_SIZE), key=lambda i: (-priorities[i], i))
-        ranks = np.empty(FIXTURE_SIZE)
-        for position, slot in enumerate(order):
-            ranks[slot] = position + 1
-        target = sampling_probabilities(1.0 / ranks, alpha)
-        slots = sampler.sample_many(FIXTURE_SIZE, batches, rng=np.random.default_rng(2))
-        tv = total_variation(np.bincount(slots.ravel(), minlength=FIXTURE_SIZE), target)
-        assert tv < 0.01, f"rank TV {tv} at alpha={alpha}"
+        assert check.passed, check.line()
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"distribution checks took {elapsed:.1f}s"
@@ -112,18 +81,9 @@ def test_criterion_2_find_by_value_matches_linear_scan():
 
 
 def test_criterion_3_unbiasedness_at_full_correction():
-    rng = np.random.default_rng(8)
-    size = 8
-    priorities = rng.uniform(0.2, 4.0, size)
-    probs = sampling_probabilities(priorities, 0.7)
-    gradients = rng.normal(0.0, 1.0, size)
-    samples = rng.choice(size, size=DRAWS, p=probs)
-    terms = gradients[samples] / (size * probs[samples])
-    estimate = terms.mean()
-    standard_error = terms.std(ddof=1) / np.sqrt(DRAWS)
-    deviation = abs(estimate - gradients.mean())
-    assert deviation < 3 * standard_error
-    report(3, f"|MC mean - plain mean| = {deviation:.2e} < 3 SE = {3 * standard_error:.2e}")
+    check = check_is_unbiasedness(draws=DRAWS, size=8, seed=8, sigmas=3.0)
+    assert check.passed, check.line()
+    report(3, f"|MC mean - plain mean| = {check.measured:.2e} < 3 SE = {check.threshold:.2e}")
 
 
 # -- criteria 4 and 5: cliff-walk speedup reproduction -------------------------------
@@ -210,8 +170,8 @@ def test_criterion_6_conservation_and_structure():
     tree = SumTree(1024)
     for _ in range(100_000):
         tree.set_leaf(int(rng.integers(1024)), float(rng.uniform(0.0, 10.0)))
-    reference = tree.nodes[tree.capacity - 1 :].sum()
-    assert tree.total == pytest.approx(reference, rel=1e-6)
+    check = check_tree_conservation(tree=tree, threshold=1e-6)
+    assert check.passed, check.line()
 
     store = RankStore(capacity=128, resort_interval=10**9)
     for slot in range(128):
@@ -226,8 +186,8 @@ def test_criterion_6_conservation_and_structure():
     assert all(a >= b for a, b in zip(keys, keys[1:]))
 
     for n, alpha, k in ((4096, 0.7, 16), (1024, 0.5, 8), (1000, 0.0, 10), (64, 1.0, 2)):
-        masses = build_partition(n, alpha, k).segment_masses()
-        assert np.abs(masses - 1.0 / k).max() <= 1.0 / (2 * k)
+        check = check_partition_masses(n, alpha, k, threshold=1.0 / (2 * k))
+        assert check.passed, check.line()
     report(6, "tree conservation, heap property, sort order, and partition balance all hold")
 
 

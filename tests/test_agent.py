@@ -241,31 +241,44 @@ def test_greedy_refreshes_the_stored_magnitude_after_replay():
 
 
 def test_fast_loops_match_linear_q_replays():
-    """Replaying the instrument trace through LinearQ reproduces the fast state."""
+    """Replaying the instrument trace through LinearQ, with a target copy
+    refreshed every ``target_copy_period`` steps, reproduces the fast state."""
+    stochastic_keys = {"beta", "probability", "priority"}
     for strategy in ("uniform", "greedy_td", "rank_stochastic", "proportional_stochastic"):
+        keys = {"slot", "td_error", "weight", "step"}
+        if strategy in ("rank_stochastic", "proportional_stochastic"):
+            keys |= stochastic_keys
         for representation in REPRESENTATIONS:
-            n = 3
-            config = RunConfig(
-                n_states=n, strategy=strategy, representation=representation, seed=4,
-                budget=200, mse_threshold=0.0,
-            )
-            fm = FeatureMap(n, bias=representation == "linear")
-            theta0 = np.random.default_rng(11).normal(0, 0.2, fm.dimension)
-            trace = []
-            run_training(
-                config,
-                instrument=lambda ev, **d: trace.append(d) if ev == "replay" else None,
-                initial_theta=theta0,
-            )
-            root = np.random.SeedSequence(
-                [4, n, STRATEGIES.index(strategy), REPRESENTATIONS.index(representation)]
-            )
-            fill_seed, _, _ = root.spawn(3)
-            memory = fill_memory(Cliffwalk(n), np.random.default_rng(fill_seed))
-            q = LinearQ(fm, theta=theta0)
-            for event in trace:
-                td = q.apply(memory[event["slot"]], event["weight"])
-                assert td == pytest.approx(event["td_error"], abs=1e-12)
+            for period in (1, 7):
+                n = 3
+                config = RunConfig(
+                    n_states=n, strategy=strategy, representation=representation, seed=4,
+                    budget=200, mse_threshold=0.0, target_copy_period=period,
+                )
+                fm = FeatureMap(n, bias=representation == "linear")
+                theta0 = np.random.default_rng(11).normal(0, 0.2, fm.dimension)
+                trace = []
+                run_training(
+                    config,
+                    instrument=lambda ev, **d: trace.append(d) if ev == "replay" else None,
+                    initial_theta=theta0,
+                )
+                root = np.random.SeedSequence(
+                    [4, n, STRATEGIES.index(strategy), REPRESENTATIONS.index(representation)]
+                )
+                fill_seed, _, _ = root.spawn(3)
+                memory = fill_memory(Cliffwalk(n), np.random.default_rng(fill_seed))
+                q = LinearQ(fm, theta=theta0)
+                target = q.copy()
+                assert [event["step"] for event in trace] == list(range(1, 201))
+                for event in trace:
+                    assert set(event) == keys, strategy
+                    transition = memory[event["slot"]]
+                    td = q.td_error(transition, bootstrap=target)
+                    q.apply(transition, event["weight"], td_error=td)
+                    assert td == pytest.approx(event["td_error"], abs=1e-12)
+                    if event["step"] % period == 0:
+                        target = q.copy()
 
 
 def test_target_network_lag_changes_the_bootstrap():

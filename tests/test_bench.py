@@ -245,9 +245,11 @@ def test_corrupted_tree_fails_conservation():
 
 
 def test_individual_checks_report_measured_values():
-    check = check_sumtree_distribution(0.6, draws=100_000)
+    rng = np.random.default_rng(7)
+    check = check_sumtree_distribution(0.6, rng.uniform(0.1, 5.0, 16), rng, draws=100_000)
     assert check.passed and 0 <= check.measured < check.threshold
-    check = check_rank_distribution(0.6, draws=100_000)
+    rng = np.random.default_rng(11)
+    check = check_rank_distribution(0.6, rng.uniform(0.1, 5.0, 16), rng, draws=100_000)
     assert check.passed
     check = check_partition_masses()
     assert check.passed

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioritized_replay import (
-    AnnealSchedule,
-    TransformContext,
-    TransformOptions,
-    anneal,
-    apply_priority_transforms,
-    is_weights,
-)
+from prioritized_replay import AnnealSchedule, is_weights
 
 
 # -- importance weights ---------------------------------------------------------
@@ -93,7 +86,7 @@ def test_raising_beta_shrinks_non_max_weight_ratios():
 
 
 def test_schedule_starts_at_the_initial_value():
-    assert anneal(AnnealSchedule(0.5, 1.0, 100), 0) == 0.5
+    assert AnnealSchedule(0.5, 1.0, 100).value(0) == 0.5
 
 
 def test_schedule_reaches_the_end_exactly_at_the_budget():
@@ -124,77 +117,17 @@ def test_schedule_rejects_nonpositive_budget():
         AnnealSchedule(0.5, 1.0, 0)
 
 
-# -- priority transforms ----------------------------------------------------------
-
-
-def test_transforms_default_to_identity():
-    result = apply_priority_transforms(0.500001, TransformOptions(), TransformContext())
-    assert result.priority == 0.500001
-    assert result.predecessor_priority is None
-
-
-def test_predecessor_boost_adds_the_current_magnitude():
-    options = TransformOptions(predecessor_boost=True)
-    context = TransformContext(abs_td=0.4, predecessor_priority=0.1)
-    result = apply_priority_transforms(0.4, options, context)
-    assert result.predecessor_priority == pytest.approx(0.5)
-
-
-def test_terminal_predecessor_is_left_alone():
-    options = TransformOptions(predecessor_boost=True)
-    context = TransformContext(abs_td=0.4, predecessor_priority=0.1, predecessor_is_terminal=True)
-    result = apply_priority_transforms(0.4, options, context)
-    assert result.predecessor_priority is None
-
-
-def test_staleness_bonus_subtracts_and_floors():
-    options = TransformOptions(staleness_coeff=1e-4, floor=1e-6)
-    assert apply_priority_transforms(
-        0.5, options, TransformContext(global_step=1000)
-    ).priority == pytest.approx(0.4)
-    assert apply_priority_transforms(
-        0.5, options, TransformContext(global_step=10**7)
-    ).priority == 1e-6
-
-
-def test_transforms_reject_negative_base():
-    with pytest.raises(ValueError):
-        apply_priority_transforms(-0.1, TransformOptions(), TransformContext())
-
-
-def test_boosted_priority_feeds_back_into_a_sampler():
-    from prioritized_replay import ProportionalSampler, SamplerConfig, Transition
-
-    sampler = ProportionalSampler(SamplerConfig(capacity=4, alpha=1.0, minibatch=2))
-    predecessor = Transition(0, 0, 0.0, 0.5, 1)
-    current = Transition(1, 1, 0.0, 0.0, 0, is_terminal=True)
-    pred_slot = sampler.store(predecessor)
-    slot = sampler.store(current)
-    sampler.update_priority(pred_slot, 0.1 - 1e-6)
-
-    result = apply_priority_transforms(
-        0.4,
-        TransformOptions(predecessor_boost=True),
-        TransformContext(
-            abs_td=0.4,
-            predecessor_priority=sampler.priority(pred_slot),
-            predecessor_is_terminal=predecessor.is_terminal,
-        ),
-    )
-    sampler.set_priority(slot, result.priority)
-    if result.predecessor_priority is not None:
-        sampler.set_priority(pred_slot, result.predecessor_priority)
-    assert sampler.priority(pred_slot) == pytest.approx(0.5)
-    assert sampler.priority(slot) == pytest.approx(0.4)
+# -- direct priority assignment ---------------------------------------------------
 
 
 def test_set_priority_rejects_nonpositive_values():
-    from prioritized_replay import RankSampler, SamplerConfig, Transition
+    from prioritized_replay import ProportionalSampler, RankSampler, SamplerConfig, Transition
 
-    sampler = RankSampler(SamplerConfig(capacity=2))
-    slot = sampler.store(Transition(0, 0, 0.0, 0.0, 0, is_terminal=True))
-    with pytest.raises(ValueError):
-        sampler.set_priority(slot, 0.0)
-    sampler.set_priority(slot, 2.5)
-    assert sampler.priority(slot) == 2.5
-    assert sampler.max_priority == 2.5
+    for sampler_cls in (RankSampler, ProportionalSampler):
+        sampler = sampler_cls(SamplerConfig(capacity=2))
+        slot = sampler.store(Transition(0, 0, 0.0, 0.0, 0, is_terminal=True))
+        with pytest.raises(ValueError):
+            sampler.set_priority(slot, 0.0)
+        sampler.set_priority(slot, 2.5)
+        assert sampler.priority(slot) == 2.5, sampler_cls.__name__
+        assert sampler.max_priority == 2.5, sampler_cls.__name__

@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError("budget must be a positive integer")
         if self.target_copy_period < 1:
             raise ValueError("target_copy_period must be a positive integer")
+        if self.alpha is not None and not self.alpha >= 0:
+            raise ValueError("alpha must be nonnegative")
+        if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
+            raise ValueError("beta0 must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -235,8 +239,7 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
         theta = np.random.default_rng(init_seed).normal(0.0, config.init_scale, features.dimension)
 
     loop_rng = np.random.default_rng(loop_seed)
-    beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0.get(config.strategy)
-    schedule = AnnealSchedule(beta0, 1.0, config.budget) if beta0 is not None else None
+    schedule = None
     if config.strategy == "oracle":
         updates, converged, final_mse = _loop_oracle(
             config, spec, memory, features, truth, theta, instrument
@@ -247,7 +250,8 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
         elif config.strategy == "greedy_td":
             selector = _GreedySelector(len(memory), config.clip_td)
         else:
-            selector = _PrioritizedSelector(config, memory, loop_rng, schedule, instrument)
+            selector = _PrioritizedSelector(config, memory, loop_rng, instrument)
+            schedule = selector.schedule
         updates, converged, final_mse = _loop(
             config, memory, features, truth, theta, selector, instrument
         )
@@ -323,9 +327,10 @@ class _PrioritizedSelector(_Selector):
     """Stratified minibatches from a rank or proportional sampler, with IS
     weights under the annealed exponent; replaying refreshes the priority."""
 
-    def __init__(self, config: RunConfig, memory, rng, schedule: AnnealSchedule, instrument):
+    def __init__(self, config: RunConfig, memory, rng, instrument):
         strategy = config.strategy
         alpha = config.alpha if config.alpha is not None else DEFAULT_ALPHA[strategy]
+        beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0[strategy]
         sampler_config = SamplerConfig(
             capacity=len(memory),
             alpha=alpha,
@@ -341,7 +346,7 @@ class _PrioritizedSelector(_Selector):
             if instrument is not None:
                 instrument("store", slot=slot, priority=sampler.priority(slot))
         self.refresh = sampler.update_priority
-        self.schedule = schedule
+        self.schedule = AnnealSchedule(beta0, 1.0, config.budget)
         self.use_is_weights = config.use_is_weights
         self.memory_len = len(sampler)
 
@@ -443,10 +448,11 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
     """Hindsight selection, vectorized over the distinct state-action cells.
 
     Every stored copy of a given (s, a) is identical here, so candidate
-    updates collapse onto the 2n cells; the post-update error for each cell
-    follows in closed form from the rank-one structure of the step, and the
-    winning cell maps back to its lowest slot id. The result matches
-    :func:`oracle_select`'s snapshot/restore semantics exactly.
+    updates collapse onto the 2n cells and an update costs O(n); the
+    post-update error for each cell follows in closed form from the rank-one
+    structure of the step, and the first minimum over the cells, taken in
+    order of their lowest slot id, is the lowest slot that reaches it. The
+    result matches :func:`oracle_select`'s snapshot/restore semantics exactly.
     """
     n = config.n_states
     n_cells = features.n_cells
@@ -455,7 +461,10 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
     budget = config.budget
     threshold = config.mse_threshold
 
-    cell_of_slot = np.array([features.cell(t.prev_state, t.action) for t in memory])
+    first_slot = {}
+    for slot, t in enumerate(memory):
+        first_slot.setdefault(features.cell(t.prev_state, t.action), slot)
+    cells_by_first_slot = np.array(list(first_slot))  # dicts keep insertion order
     cell_reward = np.zeros(n_cells)
     cell_discount = np.zeros(n_cells)
     cell_next = np.zeros(n_cells, dtype=np.int64)
@@ -492,15 +501,16 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
         elif updates - last_improvement >= stall_window:
             break
         s1 = float(errors.sum())
-        boot = q.reshape(-1, 2).max(axis=1)[cell_next]
+        boot = np.maximum(q[0::2], q[1::2])[cell_next]
         delta = cell_reward + cell_discount * boot - q
         d = eta * delta
         if has_bias:
             sse_after = sse + 2.0 * d * s1 + n_cells * d * d + (2.0 * errors + 3.0 * d) * d
         else:
             sse_after = sse + d * (2.0 * errors + d)
-        slot = int(np.argmin(sse_after[cell_of_slot]))
-        c = int(cell_of_slot[slot])
+        i = int(sse_after[cells_by_first_slot].argmin())
+        c = int(cells_by_first_slot[i])
+        slot = first_slot[c]
         step = float(d[c])
         q_cells[c] += step
         if has_bias:

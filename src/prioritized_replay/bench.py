@@ -58,7 +58,8 @@ RAW_FILENAME = "runs.csv"
 SUMMARY_FILENAME = "summary.csv"
 OUT_DIR_ENV = "REPLAY_BENCH_OUT_DIR"
 
-# hindsight selection costs O(memory) per update, so large chains are skipped
+# a stalled hindsight run stops only after max(2,000, 4 * memory) updates
+# without improvement (at O(n) each), so large chains are skipped
 DEFAULT_ORACLE_MAX_N = 12
 
 
@@ -112,8 +113,10 @@ class SweepConfig:
             raise SweepConfigError("minibatch must be a positive integer")
         if not self.epsilon > 0:
             raise SweepConfigError("epsilon must be positive")
-        if self.alpha is not None and self.alpha < 0:
+        if self.alpha is not None and not self.alpha >= 0:
             raise SweepConfigError("alpha must be nonnegative")
+        if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
+            raise SweepConfigError("beta0 must lie in [0, 1]")
         if self.resort_interval < 1:
             raise SweepConfigError("resort_interval must be a positive integer")
 

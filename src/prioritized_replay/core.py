@@ -68,7 +68,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -90,9 +90,9 @@ class SampledBatch:
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
         if not (len(self.indices) == self.probabilities.size == len(self.transitions)):
             raise ValueError("indices, probabilities, and transitions must have equal length")
-        if self.probabilities.size and not np.all(
+        if self.probabilities.size and not (
             (self.probabilities > 0.0) & (self.probabilities <= 1.0)
-        ):
+        ).all():
             raise ValueError("sampling probabilities must lie in (0, 1]")
 
     def __len__(self) -> int:

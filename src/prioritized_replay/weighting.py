@@ -44,7 +44,7 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     if p.size == 0:
         raise ValueError("probabilities must be non-empty")
     # NaN fails every comparison, so this one test rejects it too
-    if not np.all((p > 0.0) & (p <= 1.0)):
+    if not ((p > 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in (0, 1]")
     if memory_size < 1:
         raise ValueError("memory_size must be a positive integer")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,9 @@ def test_oracle_ties_break_to_slot_zero_at_the_fixed_point():
 
 def test_fast_oracle_loop_matches_the_reference_selector():
     """The vectorized in-loop oracle must reproduce snapshot/restore semantics."""
-    n = 3
-    for bias, representation in ((False, "tabular"), (True, "linear")):
+    for n, (bias, representation) in itertools.product(
+        range(3, 7), ((False, "tabular"), (True, "linear"))
+    ):
         config = RunConfig(
             n_states=n, strategy="oracle", representation=representation, seed=5, budget=120,
             mse_threshold=0.0,
@@ -183,8 +186,38 @@ def test_fast_oracle_loop_matches_the_reference_selector():
         truth = ground_truth_q(spec)
         for step, fast_pick in enumerate(picks):
             reference = oracle_select(memory, q, truth)
-            assert fast_pick == reference, f"{representation} diverged at step {step}"
+            assert fast_pick == reference, f"{representation} n={n} diverged at step {step}"
             q.apply(memory[reference], 1.0)
+
+
+def test_oracle_loop_ties_break_to_slot_zero_at_the_fixed_point():
+    """At the ground truth every candidate leaves the same error, so the loop
+    must pick slot 0 as :func:`oracle_select` does, even when slot 0 does not
+    hold cell 0 (an argmin in cell order would pick cell 0's first slot)."""
+    n = 2
+    for seed, bias, representation in ((2, False, "tabular"), (3, True, "linear")):
+        root = np.random.SeedSequence(
+            [seed, n, STRATEGIES.index("oracle"), REPRESENTATIONS.index(representation)]
+        )
+        fill_seed, _, _ = root.spawn(3)
+        spec = Cliffwalk(n)
+        memory = fill_memory(spec, np.random.default_rng(fill_seed))
+        fm = FeatureMap(n, bias=bias)
+        assert fm.cell(memory[0].prev_state, memory[0].action) != 0
+        theta = truth_theta(n, bias=bias)
+        assert oracle_select(memory, LinearQ(fm, theta=theta), ground_truth_q(spec)) == 0
+
+        picks = []
+        config = RunConfig(
+            n_states=n, strategy="oracle", representation=representation, seed=seed,
+            budget=3, mse_threshold=0.0,
+        )
+        run_training(
+            config,
+            instrument=lambda ev, **d: picks.append(d["slot"]) if ev == "replay" else None,
+            initial_theta=theta,
+        )
+        assert picks == [0, 0, 0], representation
 
 
 # -- training runs ------------------------------------------------------------
@@ -195,6 +228,15 @@ def test_oracle_regression_at_two_states():
     assert result.converged
     assert result.updates == 33  # frozen after the first verified run
     assert result.updates <= 50
+
+
+def test_oracle_regression_at_eight_states():
+    # the seed-1 n = 8 rows of a default sweep's runs.csv; the linear count
+    # moves if the loop's sums add their terms in another order
+    tabular = run_training(RunConfig(n_states=8, strategy="oracle", seed=1))
+    assert tabular.updates == 305
+    linear = run_training(RunConfig(n_states=8, strategy="oracle", representation="linear", seed=1))
+    assert linear.updates == 3055
 
 
 def test_uniform_converges_at_two_states():
@@ -296,3 +338,26 @@ def test_run_config_validation():
         RunConfig(n_states=4, strategy="uniform", representation="deep")
     with pytest.raises(ValueError):
         RunConfig(n_states=4, strategy="uniform", budget=0)
+    # rejected at construction rather than inside the sampler or is_weights
+    for bad in (
+        dict(alpha=-0.5),
+        dict(alpha=float("nan")),
+        dict(beta0=-0.1),
+        dict(beta0=1.5),
+        dict(beta0=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(n_states=4, strategy="rank_stochastic", **bad)
+    RunConfig(n_states=4, strategy="rank_stochastic", alpha=0.0, beta0=0.0)
+    RunConfig(n_states=4, strategy="rank_stochastic", beta0=1.0)
+
+
+def test_done_reports_beta_only_for_annealed_strategies():
+    for strategy in STRATEGIES:
+        done = []
+        config = RunConfig(n_states=3, strategy=strategy, seed=1, budget=100, beta0=0.3)
+        run_training(config, instrument=lambda ev, **d: done.append(d) if ev == "done" else None)
+        if strategy in ("rank_stochastic", "proportional_stochastic"):
+            assert done[0]["beta"] == pytest.approx(0.3 + 0.7 * done[0]["updates"] / 100)
+        else:
+            assert done[0]["beta"] is None, strategy

@@ -79,11 +79,16 @@ def test_config_validation():
         dict(epsilon=0.0),
         dict(epsilon=-1e-6),
         dict(alpha=-0.1),
+        dict(alpha=float("nan")),
+        dict(beta0=float("nan")),
+        dict(beta0=-0.1),
+        dict(beta0=1.5),
         dict(resort_interval=0),
     ):
         with pytest.raises(SweepConfigError):
             SweepConfig(**bad)
-    SweepConfig(alpha=0.0, minibatch=1, resort_interval=1)
+    SweepConfig(alpha=0.0, beta0=0.0, minibatch=1, resort_interval=1)
+    SweepConfig(beta0=1.0)
 
 
 # -- config files ---------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, alpha=-1.0)
     with pytest.raises(ValueError):
+        SamplerConfig(capacity=4, alpha=float("nan"))
+    with pytest.raises(ValueError):
         SamplerConfig(capacity=4, minibatch=0)
 
 

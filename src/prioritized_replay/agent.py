@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffwalk import Cliffwalk, FeatureMap, fill_memory, ground_truth_q, memory_size
-from .core import DEFAULT_EPSILON, SamplerConfig, Transition, td_magnitude
+from .core import DEFAULT_EPSILON, SamplerConfig, Transition, _check_alpha, td_magnitude
 from .rank import RankSampler
 from .sumtree import ProportionalSampler
 from .weighting import AnnealSchedule, is_weights
@@ -85,8 +85,8 @@ class RunConfig:
             raise ValueError("budget must be a positive integer")
         if self.target_copy_period < 1:
             raise ValueError("target_copy_period must be a positive integer")
-        if self.alpha is not None and not self.alpha >= 0:
-            raise ValueError("alpha must be nonnegative")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
             raise ValueError("beta0 must lie in [0, 1]")
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .agent import REPRESENTATIONS, STRATEGIES, RunConfig, RunResult, run_training
 from .cliffwalk import MAX_STATES, memory_size
-from .core import SamplerConfig, Transition, sampling_probabilities
+from .core import SamplerConfig, Transition, _check_alpha, sampling_probabilities
 from .rank import RankSampler, build_partition
 from .sumtree import ProportionalSampler, SumTree
 
@@ -113,8 +113,11 @@ class SweepConfig:
             raise SweepConfigError("minibatch must be a positive integer")
         if not self.epsilon > 0:
             raise SweepConfigError("epsilon must be positive")
-        if self.alpha is not None and not self.alpha >= 0:
-            raise SweepConfigError("alpha must be nonnegative")
+        if self.alpha is not None:
+            try:
+                _check_alpha(self.alpha)
+            except ValueError as error:
+                raise SweepConfigError(str(error)) from None
         if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
             raise SweepConfigError("beta0 must lie in [0, 1]")
         if self.resort_interval < 1:

@@ -68,8 +68,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be nonnegative")
+        _check_alpha(self.alpha)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.minibatch < 1:
@@ -110,12 +109,17 @@ def sampling_probabilities(priorities, alpha: float) -> np.ndarray:
         raise ValueError("priorities must be non-empty")
     if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise ValueError("priorities must be positive and finite")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
     scaled = p**alpha
     probs = scaled / scaled.sum()
     # second normalization pass absorbs the rounding of the first
     return probs / probs.sum()
+
+
+def _check_alpha(alpha: float) -> None:
+    """Reject a prioritization exponent that is negative, NaN or infinite."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
 
 
 def td_magnitude(td_error: float, clip: bool = False) -> float:
@@ -145,6 +149,8 @@ class PrioritizedMemory:
         self._cursor = 0
         self._size = 0
         self._max_priority = INITIAL_PRIORITY
+        # added to |td| to give a priority; a subclass may raise it
+        self._epsilon = 0.0
 
     def __len__(self) -> int:
         return self._size
@@ -168,10 +174,13 @@ class PrioritizedMemory:
     def store(self, transition: Transition) -> int:
         """Insert ``transition`` at the next window slot and return its slot id."""
         slot = self._cursor
-        self._transitions[slot] = transition
-        self._assign_priority(slot, self._max_priority)
-        self._cursor = (self._cursor + 1) % self.config.capacity
-        self._size = min(self._size + 1, self.config.capacity)
+        transitions = self._transitions
+        # an eviction replaces the slot's entry; a first store adds one
+        self._assign_priority(slot, self._max_priority, transitions[slot] is not None)
+        transitions[slot] = transition
+        self._cursor = (slot + 1) % self.config.capacity
+        if self._size < self.config.capacity:
+            self._size += 1
         return slot
 
     def update_priority(self, slot: int, td_error: float) -> None:
@@ -179,12 +188,13 @@ class PrioritizedMemory:
 
         A NaN or infinite ``td_error`` raises ValueError and changes nothing.
         """
-        self._check_occupied(slot)
+        # is_occupied's test, inline: this runs once per replayed transition
+        if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
+            raise KeyError(f"slot {slot} is not occupied")
         if not math.isfinite(td_error):
             raise ValueError(f"td_error must be finite, got {td_error!r}")
-        magnitude = td_magnitude(td_error, self.config.clip_td)
-        priority = self._priority_from_magnitude(magnitude)
-        self._assign_priority(slot, priority)
+        priority = td_magnitude(td_error, self.config.clip_td) + self._epsilon
+        self._assign_priority(slot, priority, True)
         if priority > self._max_priority:
             self._max_priority = priority
 
@@ -193,7 +203,7 @@ class PrioritizedMemory:
         self._check_occupied(slot)
         if not (priority > 0.0 and math.isfinite(priority)):
             raise ValueError(f"priorities must be positive and finite, got {priority!r}")
-        self._assign_priority(slot, priority)
+        self._assign_priority(slot, priority, True)
         if priority > self._max_priority:
             self._max_priority = priority
 
@@ -203,10 +213,8 @@ class PrioritizedMemory:
 
     # -- subclass surface ---------------------------------------------------
 
-    def _priority_from_magnitude(self, magnitude: float) -> float:
-        raise NotImplementedError
-
-    def _assign_priority(self, slot: int, priority: float) -> None:
+    def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
+        """Write a validated priority; ``occupied`` says whether the slot held one."""
         raise NotImplementedError
 
     def priority(self, slot: int) -> float:

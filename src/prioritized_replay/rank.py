@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig
+from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_alpha
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
 
@@ -176,8 +176,7 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
         raise ValueError("segment count must be positive")
     if n < k:
         raise ValueError(f"cannot split {n} ranks into {k} segments")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     mass = ranks**-alpha
     cum = np.cumsum(mass)
@@ -229,16 +228,12 @@ class RankSampler(PrioritizedMemory):
 
     def set_alpha(self, alpha: float) -> None:
         """Change the prioritization exponent; the partition rebuilds lazily."""
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        _check_alpha(alpha)
         self._alpha = alpha
         self._partition = None
 
-    def _priority_from_magnitude(self, magnitude: float) -> float:
-        return magnitude
-
-    def _assign_priority(self, slot: int, priority: float) -> None:
-        if slot in self.heap:
+    def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
+        if occupied:
             self.heap.update(slot, priority)
         else:
             self.heap.insert(slot, priority)

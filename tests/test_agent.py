@@ -342,6 +342,7 @@ def test_run_config_validation():
     for bad in (
         dict(alpha=-0.5),
         dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
         dict(beta0=-0.1),
         dict(beta0=1.5),
         dict(beta0=float("nan")),

@@ -80,6 +80,7 @@ def test_config_validation():
         dict(epsilon=-1e-6),
         dict(alpha=-0.1),
         dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
         dict(beta0=float("nan")),
         dict(beta0=-0.1),
         dict(beta0=1.5),

@@ -11,6 +11,7 @@ from prioritized_replay import (
     SampledBatch,
     SamplerConfig,
     Transition,
+    build_partition,
     sampling_probabilities,
     td_magnitude,
 )
@@ -46,8 +47,9 @@ def test_probability_errors():
         sampling_probabilities([1.0, 0.0], 0.5)
     with pytest.raises(ValueError):
         sampling_probabilities([1.0, -2.0], 0.5)
-    with pytest.raises(ValueError):
-        sampling_probabilities([1.0], -0.1)
+    for bad_alpha in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            sampling_probabilities([1.0], bad_alpha)
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,8 +113,9 @@ def test_sampler_config_validation():
         SamplerConfig(capacity=4, epsilon=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, alpha=-1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(capacity=4, alpha=float("nan"))
+    for bad_alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            SamplerConfig(capacity=4, alpha=bad_alpha)
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, minibatch=0)
 
@@ -288,3 +291,117 @@ def test_most_recently_stored_holds_the_memory_maximum(ops):
         final_slot = sampler.store(TERMINAL)
         priorities = [sampler.priority(i) for i in range(len(sampler))]
         assert sampler.priority(final_slot) == max(priorities)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_bad_alpha_is_rejected_without_changing_state(sampler_cls, bad):
+    sampler = make_sampler(sampler_cls, capacity=8)
+    for _ in range(6):
+        sampler.store(TERMINAL)
+    for slot in range(6):
+        sampler.update_priority(slot, 0.3 * slot)
+    if sampler_cls is ProportionalSampler:
+        before = sampler.tree.nodes.copy()
+        with pytest.raises(ValueError):
+            sampler.rebuild(alpha=bad)
+        assert sampler.tree.nodes.tobytes() == before.tobytes()
+    else:
+        partition = sampler.partition_for()
+        with pytest.raises(ValueError):
+            sampler.set_alpha(bad)
+        assert sampler.partition_for() is partition
+    with pytest.raises(ValueError):
+        build_partition(8, bad, 2)
+    assert sampler.alpha == 0.7
+    assert len(sampler.sample(4)) == 4
+
+
+def pairwise_tree(leaves):
+    """A sum tree's array built from its leaves: each parent the sum of its two children."""
+    nodes = [0.0] * (len(leaves) - 1) + [float(v) for v in leaves]
+    for node in range(len(leaves) - 2, -1, -1):
+        nodes[node] = nodes[2 * node + 1] + nodes[2 * node + 2]
+    return np.array(nodes)
+
+
+# a write's slot is drawn mod (live count + 2), minus 1: mostly occupied slots,
+# with -1 and the first slot past the live ones to be refused
+PICKS = st.integers(0, 99)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("store")),
+    st.tuples(st.just("update"), PICKS, st.floats(-5.0, 5.0)),
+    st.tuples(st.just("set"), PICKS, st.floats(1e-3, 5.0)),
+    st.tuples(st.just("sample"), st.integers(1, 16)),
+    st.tuples(st.just("alpha"), st.floats(0.0, 1.5)),
+    st.tuples(st.just("read")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(capacity=st.integers(1, 12), clip=st.booleans(), ops=st.lists(OPERATIONS, min_size=1, max_size=60))
+def test_samplers_match_a_naive_model(capacity, clip, ops):
+    """Random store/update/set/sample/alpha sequences against a list of
+    priorities: every priority and the running maximum match after each step,
+    and the proportional sampler's tree equals one built from its leaves."""
+    for cls in (ProportionalSampler, RankSampler):
+        config = SamplerConfig(capacity=capacity, alpha=0.6, minibatch=4, clip_td=clip, resort_interval=7)
+        sampler = cls(config)
+        epsilon = config.epsilon if cls is ProportionalSampler else 0.0
+        model: list[float | None] = [None] * capacity
+        top, cursor, alpha = 1.0, 0, 0.6
+        for op, *args in ops:
+            if op == "store":
+                assert sampler.store(TERMINAL) == cursor
+                model[cursor] = top
+                cursor = (cursor + 1) % capacity
+            elif op in ("update", "set"):
+                pick, value = args
+                slot = pick % (len(sampler) + 2) - 1
+                if op == "update":
+                    priority = (min(abs(value), 1.0) if clip else abs(value)) + epsilon
+                    write = sampler.update_priority
+                else:
+                    priority, write = value, sampler.set_priority
+                if not (0 <= slot < capacity and model[slot] is not None):
+                    with pytest.raises(KeyError):
+                        write(slot, value)
+                    continue
+                write(slot, value)
+                model[slot] = priority
+                top = max(top, priority)
+            elif op == "sample":
+                if model[0] is None:
+                    with pytest.raises(ValueError):
+                        sampler.sample(args[0])
+                    continue
+                batch = sampler.sample(args[0])
+                assert all(model[slot] is not None for slot in batch.indices)
+                if cls is ProportionalSampler:
+                    tree = sampler.tree
+                    assert batch.probabilities.tolist() == [tree.leaf(s) / tree.total for s in batch.indices]
+            elif op == "alpha":
+                alpha = args[0]
+                if cls is ProportionalSampler:
+                    sampler.rebuild(alpha=alpha)
+                else:
+                    sampler.set_alpha(alpha)
+            assert len(sampler) == sum(p is not None for p in model)
+            assert sampler.max_priority == top
+            assert sampler.alpha == alpha
+            for slot, priority in enumerate(model):
+                if priority is not None:
+                    assert sampler.priority(slot) == priority
+            if cls is ProportionalSampler:
+                tree = sampler.tree
+                leaves = [0.0] * tree.capacity
+                for slot, priority in enumerate(model):
+                    if priority is not None:
+                        leaves[slot] = priority**alpha
+                # leaves() reads no internal sum, so writes stay pending until a read
+                assert tree.leaves().tolist() == leaves
+                if op in ("sample", "read"):
+                    assert tree.nodes.tobytes() == pairwise_tree(leaves).tobytes()
+        if cls is ProportionalSampler:
+            assert sampler.tree.nodes.tobytes() == pairwise_tree(sampler.tree.leaves()).tobytes()
+        else:
+            assert sampler.heap.heap_ordered()

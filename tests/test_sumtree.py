@@ -21,6 +21,27 @@ def filled_tree(values):
     return tree
 
 
+def eager_write(nodes, index, value):
+    """Reference write on a list of nodes: refresh the whole root path at once."""
+    node = (len(nodes) - 1) // 2 + index
+    nodes[node] = float(value)
+    while node:
+        node = (node - 1) >> 1
+        nodes[node] = nodes[2 * node + 1] + nodes[2 * node + 2]
+
+
+def eager_nodes(capacity, writes):
+    """The array a tree refreshing every ancestor on each write holds."""
+    nodes = [0.0] * (2 * SumTree(capacity).capacity - 1)
+    for index, value in writes:
+        eager_write(nodes, index, value)
+    return np.array(nodes)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # -- structure ----------------------------------------------------------------
 
 
@@ -52,14 +73,32 @@ def test_capacity_rounds_up_to_power_of_two():
 
 
 def test_internal_nodes_equal_child_sums_after_random_updates():
+    """Whichever read settles them, pending writes leave the array a refresh
+    on every write gives, bit for bit: batches of 1 to 4 writes are walked,
+    16 and 36 rebuild small trees and walk large ones, and capacity + 3 also
+    makes set_leaf rebuild on its own."""
     rng = np.random.default_rng(0)
-    tree = SumTree(32)
-    for _ in range(500):
-        tree.set_leaf(int(rng.integers(32)), float(rng.uniform(0, 5)))
-    nodes = tree.nodes
-    for node in range(tree.capacity - 1):
-        expected = nodes[2 * node + 1] + nodes[2 * node + 2]
-        assert abs(nodes[node] - expected) <= 1e-9 * (1.0 + abs(nodes[node]))
+    reads = (
+        lambda tree: tree.total,
+        lambda tree: tree.nodes,
+        lambda tree: tree.find_by_value(0.0),
+        lambda tree: tree.find_many([0.0]),
+    )
+    for capacity in (1, 2, 5, 32, 512, 4096):
+        for read in reads:
+            tree = SumTree(capacity)
+            reference = [0.0] * (2 * tree.capacity - 1)
+            for batch in (1, 2, 3, 4, 16, 36, tree.capacity + 3, 1, 16):
+                for _ in range(batch):
+                    index, value = int(rng.integers(tree.capacity)), float(rng.uniform(0, 5))
+                    tree.set_leaf(index, value)
+                    eager_write(reference, index, value)
+                read(tree)
+                # the read itself settled the array
+                assert same_bits(tree._nodes, np.array(reference)), (capacity, batch)
+            nodes = tree.nodes
+            for node in range(tree.capacity - 1):
+                assert nodes[node] == nodes[2 * node + 1] + nodes[2 * node + 2]
 
 
 def test_set_leaf_rejects_bad_input():
@@ -70,10 +109,17 @@ def test_set_leaf_rejects_bad_input():
         tree.set_leaf(4, 1.0)
     tree.set_leaf(1, 2.0)
     before = tree.nodes.copy()
-    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+    tree.set_leaf(3, 1.5)  # pending: the rejected writes below must not settle or add to it
+    pending = list(tree._stale)
+    for bad in (float("nan"), float("inf"), np.float64("-inf"), -1.0):
         with pytest.raises(ValueError):
             tree.set_leaf(1, bad)
-    assert np.array_equal(tree.nodes, before)
+    with pytest.raises(IndexError):
+        tree.set_leaf(-1, 1.0)
+    assert tree._stale == pending
+    assert np.array_equal(tree.leaves(), [0.0, 2.0, 0.0, 1.5])
+    assert same_bits(tree.nodes, eager_nodes(4, [(1, 2.0), (3, 1.5)]))
+    assert tree.nodes[1] == before[1]
 
 
 def test_writes_reach_a_rebound_or_unpickled_array():
@@ -85,6 +131,19 @@ def test_writes_reach_a_rebound_or_unpickled_array():
     clone.set_leaf(3, 0.0)
     assert (clone.total, tree.total) == (10.0, 14.0)
     assert clone.find_by_value(9.9) == 2
+    # pickled with writes pending: the clone settles them itself
+    clone = pickle.loads(pickle.dumps(filled_tree([1, 2, 3, 4])))
+    assert same_bits(clone.nodes, eager_nodes(4, enumerate([1, 2, 3, 4])))
+    # rebound with writes pending: the old array gets its sums, the new one is kept as given
+    tree = filled_tree([1, 2, 3, 4])
+    old = tree.nodes
+    tree.set_leaf(0, 5.0)
+    new = eager_nodes(4, enumerate([0, 0, 0, 7]))
+    tree.nodes = new
+    assert same_bits(old, eager_nodes(4, enumerate([5, 2, 3, 4])))
+    assert tree.nodes is new and tree.total == 7.0
+    tree.set_leaf(1, 1.0)
+    assert same_bits(tree.nodes, eager_nodes(4, enumerate([0, 1, 0, 7])))
 
 
 # -- value lookup ---------------------------------------------------------------
@@ -162,6 +221,9 @@ def test_rebuild_repairs_corruption():
     tree.rebuild()
     assert tree.total == pytest.approx(10.0)
     assert tree.nodes[1] == pytest.approx(3.0)
+    tree.set_leaf(0, 2.0)
+    tree.rebuild()  # settles the pending write too, so no read walks it again
+    assert tree._stale == [] and tree.total == 11.0
 
 
 def test_conservation_over_many_random_updates():

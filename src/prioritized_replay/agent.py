@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffwalk import Cliffwalk, FeatureMap, fill_memory, ground_truth_q, memory_size
-from .core import DEFAULT_EPSILON, SamplerConfig, Transition, _check_alpha, td_magnitude
+from .core import (
+    DEFAULT_EPSILON,
+    SamplerConfig,
+    Transition,
+    _check_nonnegative,
+    _check_positive,
+    td_magnitude,
+)
 from .rank import RankSampler
 from .sumtree import ProportionalSampler
 from .weighting import AnnealSchedule, is_weights
@@ -85,8 +92,16 @@ class RunConfig:
             raise ValueError("budget must be a positive integer")
         if self.target_copy_period < 1:
             raise ValueError("target_copy_period must be a positive integer")
+        if self.minibatch < 1:
+            raise ValueError("minibatch must be a positive integer")
+        if self.resort_interval < 1:
+            raise ValueError("resort_interval must be a positive integer")
+        _check_positive("step_size", self.step_size)
+        _check_nonnegative("mse_threshold", self.mse_threshold)
+        _check_nonnegative("init_scale", self.init_scale)
+        _check_positive("epsilon", self.epsilon)
         if self.alpha is not None:
-            _check_alpha(self.alpha)
+            _check_nonnegative("alpha", self.alpha)
         if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
             raise ValueError("beta0 must lie in [0, 1]")
 
@@ -453,6 +468,12 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
     structure of the step, and the first minimum over the cells, taken in
     order of their lowest slot id, is the lowest slot that reaches it. The
     result matches :func:`oracle_select`'s snapshot/restore semantics exactly.
+
+    A run that stops improving ends, censored, once a stall window of updates
+    passes without a new best error. The loop is deterministic, so an update
+    that leaves the parameters unchanged would repeat until the window or the
+    budget ran out: the loop stops at such an update, reports the count the
+    repeats would have reached and emits their ``replay`` events unchanged.
     """
     n = config.n_states
     n_cells = features.n_cells
@@ -512,12 +533,24 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
         c = int(cells_by_first_slot[i])
         slot = first_slot[c]
         step = float(d[c])
+        td_error = float(delta[c])
+        cell_before, bias_before = q_cells[c], bias
         q_cells[c] += step
         if has_bias:
             bias += step
         updates += 1
         if instrument is not None:
-            instrument("replay", slot=slot, td_error=float(delta[c]), weight=1.0, step=updates)
+            instrument("replay", slot=slot, td_error=td_error, weight=1.0, step=updates)
+        if q_cells[c] == cell_before and bias == bias_before:
+            # a step too small to move either value leaves the state as it
+            # was, so every later update repeats it without improving: skip
+            # to where the budget or the stall window ends the run
+            stop = min(budget, last_improvement + stall_window)
+            if instrument is not None:
+                for later in range(updates + 1, stop + 1):
+                    instrument("replay", slot=slot, td_error=td_error, weight=1.0, step=later)
+            updates = stop
+            break
 
     final = q_cells + bias - truth_flat
     final_mse = float(final @ final) / n_cells

@@ -25,7 +25,13 @@ import numpy as np
 
 from .agent import REPRESENTATIONS, STRATEGIES, RunConfig, RunResult, run_training
 from .cliffwalk import MAX_STATES, memory_size
-from .core import SamplerConfig, Transition, _check_alpha, sampling_probabilities
+from .core import (
+    SamplerConfig,
+    Transition,
+    _check_nonnegative,
+    _check_positive,
+    sampling_probabilities,
+)
 from .rank import RankSampler, build_partition
 from .sumtree import ProportionalSampler, SumTree
 
@@ -58,8 +64,9 @@ RAW_FILENAME = "runs.csv"
 SUMMARY_FILENAME = "summary.csv"
 OUT_DIR_ENV = "REPLAY_BENCH_OUT_DIR"
 
-# a stalled hindsight run stops only after max(2,000, 4 * memory) updates
-# without improvement (at O(n) each), so large chains are skipped
+# oracle cells above this size are recorded as skipped, not run, until stalled
+# runs are reported at their budget and acceptance criteria 4 and 5 are
+# rechecked with n = 14 and 16 oracle rows
 DEFAULT_ORACLE_MAX_N = 12
 
 
@@ -111,13 +118,16 @@ class SweepConfig:
             raise SweepConfigError("budget must be a positive integer")
         if self.minibatch < 1:
             raise SweepConfigError("minibatch must be a positive integer")
-        if not self.epsilon > 0:
-            raise SweepConfigError("epsilon must be positive")
-        if self.alpha is not None:
-            try:
-                _check_alpha(self.alpha)
-            except ValueError as error:
-                raise SweepConfigError(str(error)) from None
+        if self.jobs is not None and self.jobs < 1:
+            raise SweepConfigError("jobs must be a positive integer")
+        try:
+            _check_positive("eta", self.eta)
+            _check_positive("epsilon", self.epsilon)
+            _check_nonnegative("mse_threshold", self.mse_threshold)
+            if self.alpha is not None:
+                _check_nonnegative("alpha", self.alpha)
+        except ValueError as error:
+            raise SweepConfigError(str(error)) from None
         if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
             raise SweepConfigError("beta0 must lie in [0, 1]")
         if self.resort_interval < 1:
@@ -241,7 +251,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     runnable = [c for c in cells if not c.skipped]
     configs = [_run_config(config, c) for c in runnable]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(configs) or 1))
+    jobs = min(jobs, len(configs) or 1)
     if jobs > 1 and len(configs) > 1:
         with Pool(processes=jobs) as pool:
             results = pool.map(run_training, configs)

@@ -68,9 +68,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        _check_alpha(self.alpha)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_nonnegative("alpha", self.alpha)
+        _check_positive("epsilon", self.epsilon)
         if self.minibatch < 1:
             raise ValueError("minibatch must be a positive integer")
         if self.resort_interval < 1:
@@ -109,17 +108,23 @@ def sampling_probabilities(priorities, alpha: float) -> np.ndarray:
         raise ValueError("priorities must be non-empty")
     if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise ValueError("priorities must be positive and finite")
-    _check_alpha(alpha)
+    _check_nonnegative("alpha", alpha)
     scaled = p**alpha
     probs = scaled / scaled.sum()
     # second normalization pass absorbs the rounding of the first
     return probs / probs.sum()
 
 
-def _check_alpha(alpha: float) -> None:
-    """Reject a prioritization exponent that is negative, NaN or infinite."""
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+def _check_nonnegative(name: str, value: float) -> None:
+    """Reject a value that is negative, NaN or infinite."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject a value that is zero, negative, NaN or infinite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def td_magnitude(td_error: float, clip: bool = False) -> float:

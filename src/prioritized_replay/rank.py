@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_alpha
+from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_nonnegative
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
 
@@ -176,7 +176,7 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
         raise ValueError("segment count must be positive")
     if n < k:
         raise ValueError(f"cannot split {n} ranks into {k} segments")
-    _check_alpha(alpha)
+    _check_nonnegative("alpha", alpha)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     mass = ranks**-alpha
     cum = np.cumsum(mass)
@@ -228,7 +228,7 @@ class RankSampler(PrioritizedMemory):
 
     def set_alpha(self, alpha: float) -> None:
         """Change the prioritization exponent; the partition rebuilds lazily."""
-        _check_alpha(alpha)
+        _check_nonnegative("alpha", alpha)
         self._alpha = alpha
         self._partition = None
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_alpha
+from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_nonnegative
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -225,7 +225,7 @@ class ProportionalSampler(PrioritizedMemory):
     def rebuild(self, alpha: float | None = None) -> None:
         """Rewrite every leaf as priority**alpha and rebuild the internal sums."""
         if alpha is not None:
-            _check_alpha(alpha)
+            _check_nonnegative("alpha", alpha)
             self._alpha = alpha
         # the scalar power, as every per-call write uses: numpy's vectorized
         # power can differ from it in the last bit

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,28 +161,35 @@ def test_oracle_ties_break_to_slot_zero_at_the_fixed_point():
 
 def test_fast_oracle_loop_matches_the_reference_selector():
     """The vectorized in-loop oracle must reproduce snapshot/restore semantics."""
-    for n, (bias, representation) in itertools.product(
-        range(3, 7), ((False, "tabular"), (True, "linear"))
-    ):
+    # (n, representation, seed, budget, whether the test passes an initial theta)
+    cases = [(n, r, 5, 120, True) for n, r in itertools.product(range(3, 7), REPRESENTATIONS)]
+    # the seed-2 n = 5 linear run from its own initial theta stops moving at
+    # update 191, so the picks are also checked across the skipped repeats
+    cases.append((5, "linear", 2, 400, False))
+    for n, representation, seed, budget, given_theta in cases:
         config = RunConfig(
-            n_states=n, strategy="oracle", representation=representation, seed=5, budget=120,
-            mse_threshold=0.0,
+            n_states=n, strategy="oracle", representation=representation, seed=seed,
+            budget=budget, mse_threshold=0.0,
         )
         root = np.random.SeedSequence(
-            [5, n, STRATEGIES.index("oracle"), REPRESENTATIONS.index(representation)]
+            [seed, n, STRATEGIES.index("oracle"), REPRESENTATIONS.index(representation)]
         )
-        fill_seed, _, _ = root.spawn(3)
+        fill_seed, init_seed, _ = root.spawn(3)
         spec = Cliffwalk(n)
         memory = fill_memory(spec, np.random.default_rng(fill_seed))
-        fm = FeatureMap(n, bias=bias)
-        theta = np.random.default_rng(7).normal(0, 0.2, fm.dimension)
+        fm = FeatureMap(n, bias=representation == "linear")
+        if given_theta:
+            theta = np.random.default_rng(7).normal(0, 0.2, fm.dimension)
+        else:
+            theta = np.random.default_rng(init_seed).normal(0.0, config.init_scale, fm.dimension)
 
         picks = []
         run_training(
             config,
             instrument=lambda ev, **d: picks.append(d["slot"]) if ev == "replay" else None,
-            initial_theta=theta,
+            initial_theta=theta if given_theta else None,
         )
+        assert len(picks) == budget
         q = LinearQ(fm, theta=theta)
         truth = ground_truth_q(spec)
         for step, fast_pick in enumerate(picks):
@@ -237,6 +245,26 @@ def test_oracle_regression_at_eight_states():
     assert tabular.updates == 305
     linear = run_training(RunConfig(n_states=8, strategy="oracle", representation="linear", seed=1))
     assert linear.updates == 3055
+
+
+def test_stalled_oracle_run_ends_at_its_fixed_point_as_the_window_would():
+    """The seed-1 n = 8 linear run stops moving at update 1,017 and its stall
+    window closes at 3,055; the skipped updates still count and still emit
+    their replay events, and the budget still caps the run."""
+    config = RunConfig(n_states=8, strategy="oracle", representation="linear", seed=1)
+    for budget, updates in ((config.budget, 3055), (2000, 2000)):
+        events = []
+        result = run_training(
+            replace(config, budget=budget),
+            instrument=lambda ev, **d: events.append(d) if ev == "replay" else None,
+        )
+        assert (result.updates, result.converged) == (updates, False)
+        assert [e["step"] for e in events] == list(range(1, updates + 1))
+        repeats = {(e["slot"], e["td_error"], e["weight"]) for e in events[1016:]}
+        assert len(repeats) == 1, budget
+        slot, td_error, weight = repeats.pop()
+        assert weight == 1.0
+        assert (events[1015]["slot"], events[1015]["td_error"]) != (slot, td_error)
 
 
 def test_uniform_converges_at_two_states():
@@ -346,10 +374,26 @@ def test_run_config_validation():
         dict(beta0=-0.1),
         dict(beta0=1.5),
         dict(beta0=float("nan")),
+        dict(step_size=float("nan")),
+        dict(step_size=float("inf")),
+        dict(step_size=0.0),
+        dict(step_size=-0.25),
+        dict(mse_threshold=float("nan")),
+        dict(mse_threshold=-1e-3),
+        dict(init_scale=float("nan")),
+        dict(init_scale=float("inf")),
+        dict(init_scale=-0.1),
+        dict(epsilon=float("nan")),
+        dict(epsilon=0.0),
+        dict(minibatch=0),
+        dict(resort_interval=0),
     ):
-        with pytest.raises(ValueError):
-            RunConfig(n_states=4, strategy="rank_stochastic", **bad)
+        for strategy in ("uniform", "rank_stochastic"):
+            with pytest.raises(ValueError):
+                RunConfig(n_states=4, strategy=strategy, **bad)
     RunConfig(n_states=4, strategy="rank_stochastic", alpha=0.0, beta0=0.0)
+    # a zero threshold forces a run to its budget; a zero scale starts at zero
+    RunConfig(n_states=4, strategy="uniform", mse_threshold=0.0, init_scale=0.0)
     RunConfig(n_states=4, strategy="rank_stochastic", beta0=1.0)
 
 

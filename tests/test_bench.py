@@ -85,10 +85,19 @@ def test_config_validation():
         dict(beta0=-0.1),
         dict(beta0=1.5),
         dict(resort_interval=0),
+        dict(eta=float("nan")),
+        dict(eta=float("inf")),
+        dict(eta=0.0),
+        dict(eta=-0.25),
+        dict(epsilon=float("nan")),
+        dict(mse_threshold=float("nan")),
+        dict(mse_threshold=-1e-3),
+        dict(jobs=0),
+        dict(jobs=-1),
     ):
         with pytest.raises(SweepConfigError):
             SweepConfig(**bad)
-    SweepConfig(alpha=0.0, beta0=0.0, minibatch=1, resort_interval=1)
+    SweepConfig(alpha=0.0, beta0=0.0, minibatch=1, resort_interval=1, mse_threshold=0.0, jobs=1)
     SweepConfig(beta0=1.0)
 
 

@@ -109,8 +109,9 @@ def test_transition_rejects_bad_fields(kwargs):
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(capacity=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(capacity=4, epsilon=0.0)
+    for bad_epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SamplerConfig(capacity=4, epsilon=bad_epsilon)
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, alpha=-1.0)
     for bad_alpha in (float("nan"), float("inf"), -float("inf")):

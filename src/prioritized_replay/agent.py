@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffwalk import Cliffwalk, FeatureMap, fill_memory, ground_truth_q, memory_size
+from .cliffwalk import MAX_STATES, Cliffwalk, FeatureMap, fill_memory, ground_truth_q, memory_size
 from .core import (
     DEFAULT_EPSILON,
     SamplerConfig,
@@ -82,6 +82,8 @@ class RunConfig:
     target_copy_period: int = 1
 
     def __post_init__(self) -> None:
+        if not 2 <= self.n_states <= MAX_STATES:
+            raise ValueError(f"n_states must lie in [2, {MAX_STATES}], got {self.n_states}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.representation not in REPRESENTATIONS:
@@ -108,8 +110,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one trial. ``converged`` False means the budget was exhausted
-    (a censored run), in which case ``updates`` equals the budget."""
+    """Outcome of one trial. ``converged`` False marks a censored run: its
+    ``updates`` is the budget, except for a stalled oracle run, which reports
+    where its stall window ended (at most the budget)."""
 
     n_states: int
     transitions: int
@@ -242,7 +245,7 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     root = np.random.SeedSequence([config.seed, config.n_states, strategy_id, repr_id])
     fill_seed, init_seed, loop_seed = root.spawn(3)
 
-    memory = fill_memory(spec, np.random.default_rng(fill_seed))
+    cells = fill_memory(spec, np.random.default_rng(fill_seed))
     features = FeatureMap(config.n_states, bias=config.representation == "linear")
     truth = ground_truth_q(spec)
 
@@ -257,18 +260,18 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     schedule = None
     if config.strategy == "oracle":
         updates, converged, final_mse = _loop_oracle(
-            config, spec, memory, features, truth, theta, instrument
+            config, spec, cells, features, truth, theta, instrument
         )
     else:
         if config.strategy == "uniform":
-            selector = _UniformSelector(len(memory), loop_rng)
+            selector = _UniformSelector(len(cells), loop_rng)
         elif config.strategy == "greedy_td":
-            selector = _GreedySelector(len(memory), config.clip_td)
+            selector = _GreedySelector(len(cells), config.clip_td)
         else:
-            selector = _PrioritizedSelector(config, memory, loop_rng, instrument)
+            selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
             schedule = selector.schedule
         updates, converged, final_mse = _loop(
-            config, memory, features, truth, theta, selector, instrument
+            config, spec, cells, features, truth, theta, selector, instrument
         )
 
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -342,12 +345,12 @@ class _PrioritizedSelector(_Selector):
     """Stratified minibatches from a rank or proportional sampler, with IS
     weights under the annealed exponent; replaying refreshes the priority."""
 
-    def __init__(self, config: RunConfig, memory, rng, instrument):
+    def __init__(self, config: RunConfig, spec: Cliffwalk, cells, rng, instrument):
         strategy = config.strategy
         alpha = config.alpha if config.alpha is not None else DEFAULT_ALPHA[strategy]
         beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0[strategy]
         sampler_config = SamplerConfig(
-            capacity=len(memory),
+            capacity=len(cells),
             alpha=alpha,
             epsilon=config.epsilon,
             minibatch=config.minibatch,
@@ -356,8 +359,8 @@ class _PrioritizedSelector(_Selector):
         )
         sampler_cls = RankSampler if strategy == "rank_stochastic" else ProportionalSampler
         self.sampler = sampler = sampler_cls(sampler_config, rng=rng)
-        for transition in memory:
-            slot = sampler.store(transition)
+        for c in cells:
+            slot = sampler.store(spec.transitions[c])
             if instrument is not None:
                 instrument("store", slot=slot, priority=sampler.priority(slot))
         self.refresh = sampler.update_priority
@@ -380,13 +383,12 @@ class _PrioritizedSelector(_Selector):
         }
 
 
-def _loop(config, memory, features, truth, theta, selector, instrument):
+def _loop(config, spec, cells, features, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
     values converge or the budget runs out."""
-    cells = [features.cell(t.prev_state, t.action) for t in memory]
-    rewards = [t.reward for t in memory]
-    discounts = [t.discount for t in memory]
-    next2 = [2 * t.next_state for t in memory]
+    rewards = [t.reward for t in spec.transitions]
+    discounts = [t.discount for t in spec.transitions]
+    next2 = [2 * t.next_state for t in spec.transitions]
     n_cells = features.n_cells
     n_cells_f = float(n_cells)
     has_bias = features.bias
@@ -409,17 +411,17 @@ def _loop(config, memory, features, truth, theta, selector, instrument):
         slots, weights = selector.next(updates)
         for j, slot in enumerate(slots):
             c = cells[slot]
-            g = discounts[slot]
+            g = discounts[c]
             q_sa = cq[c] + bq
             if g != 0.0:
-                ns2 = next2[slot]
+                ns2 = next2[c]
                 if use_target:
                     boot = tc[ns2] + tb if cq[ns2] >= cq[ns2 + 1] else tc[ns2 + 1] + tb
                 else:
                     boot = cq[ns2] + bq if cq[ns2] >= cq[ns2 + 1] else cq[ns2 + 1] + bq
-                delta = rewards[slot] + g * boot - q_sa
+                delta = rewards[c] + g * boot - q_sa
             else:
-                delta = rewards[slot] - q_sa
+                delta = rewards[c] - q_sa
 
             if refresh is not None:
                 refresh(slot, delta)
@@ -459,7 +461,7 @@ def _loop(config, memory, features, truth, theta, selector, instrument):
     return updates, converged, sse / n_cells
 
 
-def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
+def _loop_oracle(config, spec, cells, features, truth, theta, instrument):
     """Hindsight selection, vectorized over the distinct state-action cells.
 
     Every stored copy of a given (s, a) is identical here, so candidate
@@ -475,7 +477,6 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
     budget ran out: the loop stops at such an update, reports the count the
     repeats would have reached and emits their ``replay`` events unchanged.
     """
-    n = config.n_states
     n_cells = features.n_cells
     has_bias = features.bias
     eta = config.step_size
@@ -483,19 +484,12 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
     threshold = config.mse_threshold
 
     first_slot = {}
-    for slot, t in enumerate(memory):
-        first_slot.setdefault(features.cell(t.prev_state, t.action), slot)
+    for slot, c in enumerate(cells):
+        first_slot.setdefault(c, slot)
     cells_by_first_slot = np.array(list(first_slot))  # dicts keep insertion order
-    cell_reward = np.zeros(n_cells)
-    cell_discount = np.zeros(n_cells)
-    cell_next = np.zeros(n_cells, dtype=np.int64)
-    for s in range(n):
-        for a in (0, 1):
-            t = spec.step(s, a)
-            c = features.cell(s, a)
-            cell_reward[c] = t.reward
-            cell_discount[c] = t.discount
-            cell_next[c] = t.next_state
+    cell_reward = np.array([t.reward for t in spec.transitions])
+    cell_discount = np.array([t.discount for t in spec.transitions])
+    cell_next = np.array([t.next_state for t in spec.transitions])
 
     q_cells = theta[:n_cells].copy()
     bias = float(theta[-1]) if has_bias else 0.0
@@ -503,7 +497,7 @@ def _loop_oracle(config, spec, memory, features, truth, theta, instrument):
 
     # greedy selection is deterministic, so once the loss stops improving the
     # run is in a limit cycle and can never converge; stop it early (censored)
-    stall_window = max(2000, 4 * len(memory))
+    stall_window = max(2000, 4 * len(cells))
     best_sse = np.inf
     last_improvement = 0
 

@@ -24,14 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .agent import REPRESENTATIONS, STRATEGIES, RunConfig, RunResult, run_training
-from .cliffwalk import MAX_STATES, memory_size
-from .core import (
-    SamplerConfig,
-    Transition,
-    _check_nonnegative,
-    _check_positive,
-    sampling_probabilities,
-)
+from .cliffwalk import memory_size
+from .core import SamplerConfig, Transition, sampling_probabilities
 from .rank import RankSampler, build_partition
 from .sumtree import ProportionalSampler, SumTree
 
@@ -97,41 +91,22 @@ class SweepConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise SweepConfigError("sizes must be non-empty")
-        for n in self.sizes:
-            if not 2 <= n <= MAX_STATES:
-                raise SweepConfigError(f"sizes must lie in [2, {MAX_STATES}], got {n}")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise SweepConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
-        for r in self.representations:
-            if r not in REPRESENTATIONS:
-                raise SweepConfigError(
-                    f"unknown representation {r!r}; expected one of {REPRESENTATIONS}"
-                )
-        if not self.seeds:
-            raise SweepConfigError("seeds must be non-empty")
+        for axis in ("sizes", "strategies", "representations", "seeds"):
+            if not getattr(self, axis):
+                raise SweepConfigError(f"{axis} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepConfigError(f"seeds must be distinct, got {self.seeds}")
-        if self.budget < 1:
-            raise SweepConfigError("budget must be a positive integer")
-        if self.minibatch < 1:
-            raise SweepConfigError("minibatch must be a positive integer")
         if self.jobs is not None and self.jobs < 1:
             raise SweepConfigError("jobs must be a positive integer")
+        # every other value is checked by the RunConfig each cell would run;
+        # the grid is non-empty, so none goes unchecked
         try:
-            _check_positive("eta", self.eta)
-            _check_positive("epsilon", self.epsilon)
-            _check_nonnegative("mse_threshold", self.mse_threshold)
-            if self.alpha is not None:
-                _check_nonnegative("alpha", self.alpha)
+            for n in self.sizes:
+                for strategy in self.strategies:
+                    for representation in self.representations:
+                        _run_config(self, SweepCell(n, strategy, representation, self.seeds[0]))
         except ValueError as error:
             raise SweepConfigError(str(error)) from None
-        if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
-            raise SweepConfigError("beta0 must lie in [0, 1]")
-        if self.resort_interval < 1:
-            raise SweepConfigError("resort_interval must be a positive integer")
 
 
 _INT_TUPLE_KEYS = {"sizes", "seeds"}
@@ -296,9 +271,10 @@ def _raw_row(result: RunResult) -> dict:
 def summarize(raw_rows: list[dict]) -> list[dict]:
     """Per-(n, strategy, representation) medians with min/max and censor counts.
 
-    Censored trials enter the order statistics at their budget value (a lower
-    bound on the true updates-to-convergence); skipped cells produce a row
-    with empty statistics.
+    Censored trials enter the order statistics at their reported ``updates``
+    (a lower bound on the true updates-to-convergence): the budget, or for a
+    stalled oracle run the end of its stall window, which can lie far below
+    the budget. Skipped cells produce a row with empty statistics.
     """
     groups: dict[tuple, list[dict]] = {}
     for row in raw_rows:

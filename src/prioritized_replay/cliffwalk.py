@@ -11,7 +11,7 @@ A uniformly random policy finds the reward with probability 2**-n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class Cliffwalk:
             return Transition(state, action, 1.0, 0.0, 0, is_terminal=True)
         return Transition(state, action, 0.0, self.gamma, state + 1, is_terminal=False)
 
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The chain's 2n distinct transitions, indexed by cell 2 * state + action."""
+        return tuple(self.step(s, a) for s in range(self.n_states) for a in (0, 1))
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -102,43 +107,37 @@ def memory_size(n_states: int) -> int:
     return 2 ** (n_states + 1) - 2
 
 
-def fill_memory(spec: Cliffwalk, rng: np.random.Generator | None = None) -> list[Transition]:
-    """Execute all 2**n action sequences (in shuffled order) and collect every transition.
+def fill_memory(spec: Cliffwalk, rng: np.random.Generator | None = None) -> list[int]:
+    """Execute all 2**n action sequences (in shuffled order) and return the
+    cell (2 * state + action) of every transition, one per memory slot.
 
-    Exactly one sequence survives to the final reward; the rest terminate
-    early with zero reward. The result reflects the transition frequencies a
-    random behavior policy would produce.
+    Every transition of a cell is the same, ``spec.transitions[cell]``. Exactly
+    one sequence survives to the final reward; the rest terminate early with
+    zero reward. The result reflects the transition frequencies a random
+    behavior policy would produce.
     """
     n = spec.n_states
     if n > MAX_STATES:
         raise ValueError(f"exhaustive fill supports at most {MAX_STATES} states, got {n}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    sequences = rng.permutation(1 << n)
-    memory: list[Transition] = []
-    for sequence in sequences:
-        state = 0
-        for step_index in range(n):
-            action = (int(sequence) >> step_index) & 1
-            transition = spec.step(state, action)
-            memory.append(transition)
-            if transition.is_terminal:
+    cells: list[int] = []
+    for sequence in rng.permutation(1 << n).tolist():
+        # step s takes action bit s; the episode ends at the first wrong action
+        for state in range(n):
+            action = (sequence >> state) & 1
+            cells.append(2 * state + action)
+            if action != state % 2:
                 break
-            state = transition.next_state
-    return memory
+    return cells
 
 
 def value_iteration_q(spec: Cliffwalk, tol: float = 1e-12) -> np.ndarray:
     """Independent fixed-point solve of the optimal action values, shape (n, 2)."""
     n = spec.n_states
-    rewards = np.zeros((n, 2))
-    discounts = np.zeros((n, 2))
-    next_states = np.zeros((n, 2), dtype=np.int64)
-    for s in range(n):
-        for a in (0, 1):
-            t = spec.step(s, a)
-            rewards[s, a] = t.reward
-            discounts[s, a] = t.discount
-            next_states[s, a] = t.next_state
+    table = spec.transitions
+    rewards = np.array([t.reward for t in table]).reshape(n, 2)
+    discounts = np.array([t.discount for t in table]).reshape(n, 2)
+    next_states = np.array([t.next_state for t in table]).reshape(n, 2)
     q = np.zeros((n, 2))
     while True:
         backup = rewards + discounts * q[next_states].max(axis=2)
@@ -148,8 +147,8 @@ def value_iteration_q(spec: Cliffwalk, tol: float = 1e-12) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _verified_truth(n_states: int) -> np.ndarray:
-    spec = Cliffwalk(n_states)
+def _verified_truth(spec: Cliffwalk) -> np.ndarray:
+    n_states = spec.n_states
     closed = np.zeros((n_states, 2))
     states = np.arange(n_states)
     closed[states, states % 2] = spec.gamma ** (n_states - 1 - states)
@@ -166,7 +165,7 @@ def ground_truth_q(spec: Cliffwalk) -> np.ndarray:
     The closed form is checked against :func:`value_iteration_q` before use
     (once per chain size) so a bad formula can never leak into a benchmark.
     """
-    return _verified_truth(spec.n_states)
+    return _verified_truth(spec)
 
 
 def mse_to_truth(q_estimate, spec: Cliffwalk) -> float:

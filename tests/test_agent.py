@@ -146,7 +146,7 @@ def test_oracle_on_a_single_transition_memory():
 
 def test_oracle_picks_the_rewarded_transition_first_at_zero_q():
     spec = Cliffwalk(2)
-    memory = fill_memory(spec, np.random.default_rng(1))
+    memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(1))]
     rewarded = next(i for i, t in enumerate(memory) if t.reward > 0)
     choice = oracle_select(memory, zero_q(2), ground_truth_q(spec))
     assert choice == rewarded
@@ -154,7 +154,7 @@ def test_oracle_picks_the_rewarded_transition_first_at_zero_q():
 
 def test_oracle_ties_break_to_slot_zero_at_the_fixed_point():
     spec = Cliffwalk(2)
-    memory = fill_memory(spec, np.random.default_rng(1))
+    memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(1))]
     q = LinearQ(FeatureMap(2), theta=truth_theta(2))
     assert oracle_select(memory, q, ground_truth_q(spec)) == 0
 
@@ -176,7 +176,7 @@ def test_fast_oracle_loop_matches_the_reference_selector():
         )
         fill_seed, init_seed, _ = root.spawn(3)
         spec = Cliffwalk(n)
-        memory = fill_memory(spec, np.random.default_rng(fill_seed))
+        memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(fill_seed))]
         fm = FeatureMap(n, bias=representation == "linear")
         if given_theta:
             theta = np.random.default_rng(7).normal(0, 0.2, fm.dimension)
@@ -209,7 +209,7 @@ def test_oracle_loop_ties_break_to_slot_zero_at_the_fixed_point():
         )
         fill_seed, _, _ = root.spawn(3)
         spec = Cliffwalk(n)
-        memory = fill_memory(spec, np.random.default_rng(fill_seed))
+        memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(fill_seed))]
         fm = FeatureMap(n, bias=bias)
         assert fm.cell(memory[0].prev_state, memory[0].action) != 0
         theta = truth_theta(n, bias=bias)
@@ -265,6 +265,23 @@ def test_stalled_oracle_run_ends_at_its_fixed_point_as_the_window_would():
         slot, td_error, weight = repeats.pop()
         assert weight == 1.0
         assert (events[1015]["slot"], events[1015]["td_error"]) != (slot, td_error)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_steps_each_cell_once(strategy, monkeypatch):
+    """The memory holds cell ids over the chain's 2n-row transition table, so
+    a run builds that table once and no transition per slot."""
+    calls = []
+    step = Cliffwalk.step
+
+    def counted_step(self, state, action):
+        calls.append((state, action))
+        return step(self, state, action)
+
+    monkeypatch.setattr(Cliffwalk, "step", counted_step)
+    n = 6
+    run_training(RunConfig(n_states=n, strategy=strategy, seed=1, budget=500))
+    assert sorted(calls) == [(s, a) for s in range(n) for a in (0, 1)]
 
 
 def test_uniform_converges_at_two_states():
@@ -337,7 +354,9 @@ def test_fast_loops_match_linear_q_replays():
                     [4, n, STRATEGIES.index(strategy), REPRESENTATIONS.index(representation)]
                 )
                 fill_seed, _, _ = root.spawn(3)
-                memory = fill_memory(Cliffwalk(n), np.random.default_rng(fill_seed))
+                spec = Cliffwalk(n)
+                cells = fill_memory(spec, np.random.default_rng(fill_seed))
+                memory = [spec.transitions[c] for c in cells]
                 q = LinearQ(fm, theta=theta0)
                 target = q.copy()
                 assert [event["step"] for event in trace] == list(range(1, 201))
@@ -366,6 +385,10 @@ def test_run_config_validation():
         RunConfig(n_states=4, strategy="uniform", representation="deep")
     with pytest.raises(ValueError):
         RunConfig(n_states=4, strategy="uniform", budget=0)
+    # chain sizes outside [2, MAX_STATES] fail here, not inside run_training
+    for n_states in (0, 1, 17):
+        with pytest.raises(ValueError):
+            RunConfig(n_states=n_states, strategy="uniform")
     # rejected at construction rather than inside the sampler or is_weights
     for bad in (
         dict(alpha=-0.5),

@@ -101,6 +101,14 @@ def test_config_validation():
     SweepConfig(beta0=1.0)
 
 
+def test_an_empty_grid_is_rejected():
+    """Every knob is checked through the RunConfig of a grid cell, so a grid
+    without cells would let a bad knob through."""
+    for axis in ("sizes", "strategies", "representations", "seeds"):
+        with pytest.raises(SweepConfigError, match=axis):
+            SweepConfig(**{axis: ()}, budget=0)
+
+
 # -- config files ---------------------------------------------------------------
 
 

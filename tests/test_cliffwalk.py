@@ -61,7 +61,43 @@ def test_chain_needs_two_states():
         Cliffwalk(1)
 
 
+def test_transition_table_holds_one_step_per_cell():
+    for n in (2, 5, 16):
+        spec = Cliffwalk(n)
+        assert len(spec.transitions) == 2 * n
+        for s in range(n):
+            for a in (0, 1):
+                assert spec.transitions[2 * s + a] == spec.step(s, a)
+
+
 # -- exhaustive fill --------------------------------------------------------------
+
+
+def reference_fill(spec, rng):
+    """The fill as one ``step`` per slot: every shuffled action sequence,
+    walked until its first terminal transition."""
+    memory = []
+    for sequence in rng.permutation(1 << spec.n_states):
+        state = 0
+        for step_index in range(spec.n_states):
+            transition = spec.step(state, (int(sequence) >> step_index) & 1)
+            memory.append(transition)
+            if transition.is_terminal:
+                break
+            state = transition.next_state
+    return memory
+
+
+def filled(spec, rng=None):
+    return [spec.transitions[c] for c in fill_memory(spec, rng)]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_fill_matches_the_per_slot_reference(n):
+    spec = Cliffwalk(n)
+    for seed in (0, 1, 7):
+        reference = reference_fill(spec, np.random.default_rng(seed))
+        assert filled(spec, np.random.default_rng(seed)) == reference
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -71,12 +107,12 @@ def test_fill_size_matches_the_closed_form(n):
 
 def test_fill_contains_exactly_one_rewarded_transition():
     for n in (2, 5, 9):
-        memory = fill_memory(Cliffwalk(n))
+        memory = filled(Cliffwalk(n))
         assert sum(t.reward for t in memory) == 1.0
 
 
 def test_largest_supported_fill():
-    memory = fill_memory(Cliffwalk(16))
+    memory = filled(Cliffwalk(16))
     assert len(memory) == 131070
     assert sum(t.reward for t in memory) == 1.0
 
@@ -88,9 +124,9 @@ def test_fill_rejects_oversized_chains():
 
 def test_fill_order_is_seeded():
     spec = Cliffwalk(5)
-    a = fill_memory(spec, np.random.default_rng(3))
-    b = fill_memory(spec, np.random.default_rng(3))
-    c = fill_memory(spec, np.random.default_rng(4))
+    a = filled(spec, np.random.default_rng(3))
+    b = filled(spec, np.random.default_rng(3))
+    c = filled(spec, np.random.default_rng(4))
     assert a == b
     assert a != c
     assert sorted(map(repr, a)) == sorted(map(repr, c))  # same multiset of transitions

@@ -4,20 +4,15 @@ importance-sampling correction, plus a cliff-walk benchmark harness."""
 from .agent import (
     REPRESENTATIONS,
     STRATEGIES,
-    LinearQ,
     RunConfig,
     RunResult,
-    greedy_select,
-    oracle_select,
     run_training,
 )
 from .cliffwalk import (
     Cliffwalk,
-    FeatureMap,
     fill_memory,
     ground_truth_q,
     memory_size,
-    mse_to_truth,
     value_iteration_q,
 )
 from .core import (
@@ -39,8 +34,6 @@ __all__ = [
     "AnnealSchedule",
     "Cliffwalk",
     "DEFAULT_EPSILON",
-    "FeatureMap",
-    "LinearQ",
     "Partition",
     "PrioritizedMemory",
     "ProportionalSampler",
@@ -56,12 +49,9 @@ __all__ = [
     "Transition",
     "build_partition",
     "fill_memory",
-    "greedy_select",
     "ground_truth_q",
     "is_weights",
     "memory_size",
-    "mse_to_truth",
-    "oracle_select",
     "run_training",
     "sampling_probabilities",
     "td_magnitude",

@@ -11,9 +11,11 @@ differ only in their selector: which slots it picks, how it weights them
 importance-sampling weights, the others update with weight 1) and how a replay
 refreshes a priority. Oracle selection has its own vectorized loop.
 
-The loops run on plain Python floats with incrementally maintained squared
-error, so convergence can be checked after every update without a sweep; the
-arithmetic is cross-checked against :class:`LinearQ` in the tests.
+Both loops keep the values as 2n cell values (cell 2 * state + action) plus,
+for the linear representation, one shared bias added to every cell. They run
+on plain Python floats with incrementally maintained squared error, so
+convergence can be checked after every update without a sweep; the
+arithmetic is cross-checked against the object model in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffwalk import MAX_STATES, Cliffwalk, FeatureMap, fill_memory, ground_truth_q, memory_size
+from .cliffwalk import MAX_STATES, Cliffwalk, fill_memory, ground_truth_q, memory_size
 from .core import (
     DEFAULT_EPSILON,
     SamplerConfig,
-    Transition,
+    _check_count,
     _check_nonnegative,
     _check_positive,
     td_magnitude,
@@ -41,9 +43,6 @@ __all__ = [
     "REPRESENTATIONS",
     "RunConfig",
     "RunResult",
-    "LinearQ",
-    "greedy_select",
-    "oracle_select",
     "run_training",
 ]
 
@@ -52,6 +51,9 @@ REPRESENTATIONS = ("tabular", "linear")
 
 DEFAULT_ALPHA = {"rank_stochastic": 0.7, "proportional_stochastic": 0.6}
 DEFAULT_BETA0 = {"rank_stochastic": 0.5, "proportional_stochastic": 0.4}
+
+# Standard deviation of the normal draw of the initial parameters.
+INIT_SCALE = 0.1
 
 # Incremental squared-error tracking is resynced from scratch this often.
 _RESYNC_MASK = (1 << 20) - 1
@@ -72,17 +74,16 @@ class RunConfig:
     mse_threshold: float = 1e-3
     minibatch: int = 16
     step_size: float = 0.25
-    init_scale: float = 0.1
     alpha: float | None = None
     beta0: float | None = None
     epsilon: float = DEFAULT_EPSILON
     clip_td: bool = False
     use_is_weights: bool = True
     resort_interval: int = 1_000_000
-    target_copy_period: int = 1
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_states <= MAX_STATES:
+        _check_count("n_states", self.n_states, 2)
+        if self.n_states > MAX_STATES:
             raise ValueError(f"n_states must lie in [2, {MAX_STATES}], got {self.n_states}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
@@ -90,17 +91,12 @@ class RunConfig:
             raise ValueError(
                 f"unknown representation {self.representation!r}; expected one of {REPRESENTATIONS}"
             )
-        if self.budget < 1:
-            raise ValueError("budget must be a positive integer")
-        if self.target_copy_period < 1:
-            raise ValueError("target_copy_period must be a positive integer")
-        if self.minibatch < 1:
-            raise ValueError("minibatch must be a positive integer")
-        if self.resort_interval < 1:
-            raise ValueError("resort_interval must be a positive integer")
+        _check_count("seed", self.seed, 0)
+        _check_count("budget", self.budget)
+        _check_count("minibatch", self.minibatch)
+        _check_count("resort_interval", self.resort_interval)
         _check_positive("step_size", self.step_size)
         _check_nonnegative("mse_threshold", self.mse_threshold)
-        _check_nonnegative("init_scale", self.init_scale)
         _check_positive("epsilon", self.epsilon)
         if self.alpha is not None:
             _check_nonnegative("alpha", self.alpha)
@@ -125,111 +121,6 @@ class RunResult:
     wall_ms: float
 
 
-class LinearQ:
-    """Action values Q(s, a) = theta . phi(s, a) with per-transition gradient steps.
-
-    With a bias-free feature map this is exactly a lookup table; with the
-    shared bias feature every update also moves all other values through the
-    bias weight.
-    """
-
-    def __init__(
-        self,
-        features: FeatureMap,
-        rng: np.random.Generator | None = None,
-        step_size: float = 0.25,
-        init_scale: float = 0.1,
-        theta: np.ndarray | None = None,
-    ):
-        self.features = features
-        self.step_size = step_size
-        if theta is not None:
-            theta = np.asarray(theta, dtype=np.float64).copy()
-            if theta.shape != (features.dimension,):
-                raise ValueError(f"theta must have shape ({features.dimension},)")
-            self.theta = theta
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.theta = rng.normal(0.0, init_scale, features.dimension)
-
-    def value(self, state: int, action: int) -> float:
-        v = self.theta[self.features.cell(state, action)]
-        if self.features.bias:
-            v += self.theta[-1]
-        return float(v)
-
-    def q_table(self) -> np.ndarray:
-        """Current values as an (n_states, 2) table."""
-        table = self.theta[: self.features.n_cells].reshape(-1, 2).copy()
-        if self.features.bias:
-            table += self.theta[-1]
-        return table
-
-    def td_error(self, transition: Transition, bootstrap: "LinearQ | None" = None) -> float:
-        """r + discount * Q'(s', argmax_a Q(s', a)) - Q(s, a).
-
-        The argmax always runs under these (online) parameters; the value at
-        that action comes from ``bootstrap`` when given (a lagged target copy)
-        and from the online parameters otherwise. Terminal transitions carry
-        discount 0, so no bootstrap term survives.
-        """
-        if transition.discount == 0.0:
-            boot = 0.0
-        else:
-            ns = transition.next_state
-            a_star = 0 if self.value(ns, 0) >= self.value(ns, 1) else 1
-            source = bootstrap if bootstrap is not None else self
-            boot = source.value(ns, a_star)
-        return transition.reward + transition.discount * boot - self.value(
-            transition.prev_state, transition.action
-        )
-
-    def apply(self, transition: Transition, weight: float = 1.0, td_error: float | None = None) -> float:
-        """One gradient step theta += step_size * weight * td * phi; returns the td used."""
-        if td_error is None:
-            td_error = self.td_error(transition)
-        step = self.step_size * weight * td_error
-        self.theta[self.features.cell(transition.prev_state, transition.action)] += step
-        if self.features.bias:
-            self.theta[-1] += step
-        return td_error
-
-    def copy(self) -> "LinearQ":
-        return LinearQ(
-            self.features, step_size=self.step_size, theta=self.theta
-        )
-
-
-def greedy_select(magnitudes) -> int:
-    """Slot holding the largest stored |td|; ties resolve to the lowest slot id."""
-    m = np.asarray(magnitudes, dtype=np.float64)
-    if m.size == 0:
-        raise ValueError("cannot select from an empty memory")
-    return int(m.argmax())
-
-
-def oracle_select(transitions: list[Transition], q: LinearQ, truth: np.ndarray) -> int:
-    """Hindsight pick: tentatively apply every stored transition's update and
-    return the slot whose updated parameters leave the smallest MSE against
-    ``truth``. Parameters are restored between candidates; ties resolve to the
-    lowest slot id. Cost is O(len(transitions)) value sweeps, so this is only
-    usable at small scales.
-    """
-    if not transitions:
-        raise ValueError("cannot select from an empty memory")
-    snapshot = q.theta.copy()
-    best_slot = 0
-    best_mse = np.inf
-    for slot, transition in enumerate(transitions):
-        q.apply(transition, 1.0)
-        mse = float(np.mean((q.q_table() - truth) ** 2))
-        q.theta[:] = snapshot
-        if mse < best_mse:
-            best_mse = mse
-            best_slot = slot
-    return best_slot
-
-
 def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunResult:
     """Execute one trial and return its outcome.
 
@@ -246,21 +137,23 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     fill_seed, init_seed, loop_seed = root.spawn(3)
 
     cells = fill_memory(spec, np.random.default_rng(fill_seed))
-    features = FeatureMap(config.n_states, bias=config.representation == "linear")
     truth = ground_truth_q(spec)
+    # one weight per cell, plus the shared bias weight in the linear case
+    has_bias = config.representation == "linear"
+    dimension = 2 * config.n_states + (1 if has_bias else 0)
 
     if initial_theta is not None:
         theta = np.asarray(initial_theta, dtype=np.float64).copy()
-        if theta.shape != (features.dimension,):
-            raise ValueError(f"initial_theta must have shape ({features.dimension},)")
+        if theta.shape != (dimension,):
+            raise ValueError(f"initial_theta must have shape ({dimension},)")
     else:
-        theta = np.random.default_rng(init_seed).normal(0.0, config.init_scale, features.dimension)
+        theta = np.random.default_rng(init_seed).normal(0.0, INIT_SCALE, dimension)
 
     loop_rng = np.random.default_rng(loop_seed)
     schedule = None
     if config.strategy == "oracle":
         updates, converged, final_mse = _loop_oracle(
-            config, spec, cells, features, truth, theta, instrument
+            config, spec, cells, has_bias, truth, theta, instrument
         )
     else:
         if config.strategy == "uniform":
@@ -271,7 +164,7 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
             selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
             schedule = selector.schedule
         updates, converged, final_mse = _loop(
-            config, spec, cells, features, truth, theta, selector, instrument
+            config, spec, cells, has_bias, truth, theta, selector, instrument
         )
 
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -335,7 +228,8 @@ class _GreedySelector(_Selector):
         self.clip = clip
 
     def next(self, updates: int):
-        return [greedy_select(self.magnitudes)], None
+        # argmax takes the first maximum: ties go to the lowest slot
+        return [int(self.magnitudes.argmax())], None
 
     def refresh(self, slot: int, td_error: float) -> None:
         self.magnitudes[slot] = td_magnitude(td_error, self.clip)
@@ -383,15 +277,14 @@ class _PrioritizedSelector(_Selector):
         }
 
 
-def _loop(config, spec, cells, features, truth, theta, selector, instrument):
+def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
     values converge or the budget runs out."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
     next2 = [2 * t.next_state for t in spec.transitions]
-    n_cells = features.n_cells
+    n_cells = 2 * config.n_states
     n_cells_f = float(n_cells)
-    has_bias = features.bias
     cq = [float(v) for v in theta[:n_cells]]
     bq = float(theta[-1]) if has_bias else 0.0
     truth_flat = [float(v) for v in truth.reshape(-1)]
@@ -399,10 +292,6 @@ def _loop(config, spec, cells, features, truth, theta, selector, instrument):
     eta = config.step_size
     budget = config.budget
     sse_threshold = config.mse_threshold * n_cells
-    use_target = config.target_copy_period > 1
-    period = config.target_copy_period
-    tc = list(cq) if use_target else cq
-    tb = bq
     refresh = selector.refresh
 
     updates = 0
@@ -415,10 +304,7 @@ def _loop(config, spec, cells, features, truth, theta, selector, instrument):
             q_sa = cq[c] + bq
             if g != 0.0:
                 ns2 = next2[c]
-                if use_target:
-                    boot = tc[ns2] + tb if cq[ns2] >= cq[ns2 + 1] else tc[ns2 + 1] + tb
-                else:
-                    boot = cq[ns2] + bq if cq[ns2] >= cq[ns2 + 1] else cq[ns2 + 1] + bq
+                boot = cq[ns2] + bq if cq[ns2] >= cq[ns2 + 1] else cq[ns2 + 1] + bq
                 delta = rewards[c] + g * boot - q_sa
             else:
                 delta = rewards[c] - q_sa
@@ -443,9 +329,6 @@ def _loop(config, spec, cells, features, truth, theta, selector, instrument):
                     "replay", slot=slot, td_error=delta, weight=w,
                     **selector.describe(j, slot), step=updates,
                 )
-            if use_target and updates % period == 0:
-                tc[:] = cq
-                tb = bq
             if sse < sse_threshold or (updates & _RESYNC_MASK) == 0:
                 sse, s1 = _exact_sums(cq, bq, truth_flat)
                 if sse < sse_threshold:
@@ -461,7 +344,7 @@ def _loop(config, spec, cells, features, truth, theta, selector, instrument):
     return updates, converged, sse / n_cells
 
 
-def _loop_oracle(config, spec, cells, features, truth, theta, instrument):
+def _loop_oracle(config, spec, cells, has_bias, truth, theta, instrument):
     """Hindsight selection, vectorized over the distinct state-action cells.
 
     Every stored copy of a given (s, a) is identical here, so candidate
@@ -469,7 +352,9 @@ def _loop_oracle(config, spec, cells, features, truth, theta, instrument):
     post-update error for each cell follows in closed form from the rank-one
     structure of the step, and the first minimum over the cells, taken in
     order of their lowest slot id, is the lowest slot that reaches it. The
-    result matches :func:`oracle_select`'s snapshot/restore semantics exactly.
+    picks match the reference selector in ``tests/reference.py``, which
+    tentatively applies every stored transition and restores the parameters
+    between candidates.
 
     A run that stops improving ends, censored, once a stall window of updates
     passes without a new best error. The loop is deterministic, so an update
@@ -477,8 +362,7 @@ def _loop_oracle(config, spec, cells, features, truth, theta, instrument):
     budget ran out: the loop stops at such an update, reports the count the
     repeats would have reached and emits their ``replay`` events unchanged.
     """
-    n_cells = features.n_cells
-    has_bias = features.bias
+    n_cells = 2 * config.n_states
     eta = config.step_size
     budget = config.budget
     threshold = config.mse_threshold

@@ -25,7 +25,7 @@ import numpy as np
 
 from .agent import REPRESENTATIONS, STRATEGIES, RunConfig, RunResult, run_training
 from .cliffwalk import memory_size
-from .core import SamplerConfig, Transition, sampling_probabilities
+from .core import SamplerConfig, Transition, _check_count, sampling_probabilities
 from .rank import RankSampler, build_partition
 from .sumtree import ProportionalSampler, SumTree
 
@@ -61,7 +61,7 @@ OUT_DIR_ENV = "REPLAY_BENCH_OUT_DIR"
 # oracle cells above this size are recorded as skipped, not run, until stalled
 # runs are reported at their budget and acceptance criteria 4 and 5 are
 # rechecked with n = 14 and 16 oracle rows
-DEFAULT_ORACLE_MAX_N = 12
+ORACLE_MAX_N = 12
 
 
 class SweepConfigError(ValueError):
@@ -86,7 +86,6 @@ class SweepConfig:
     epsilon: float = 1e-6
     resort_interval: int = 1_000_000
     mse_threshold: float = 1e-3
-    oracle_max_n: int = DEFAULT_ORACLE_MAX_N
     jobs: int | None = None
     out_dir: str | None = None
 
@@ -96,15 +95,13 @@ class SweepConfig:
                 raise SweepConfigError(f"{axis} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepConfigError(f"seeds must be distinct, got {self.seeds}")
-        if self.jobs is not None and self.jobs < 1:
-            raise SweepConfigError("jobs must be a positive integer")
         # every other value is checked by the RunConfig each cell would run;
         # the grid is non-empty, so none goes unchecked
         try:
-            for n in self.sizes:
-                for strategy in self.strategies:
-                    for representation in self.representations:
-                        _run_config(self, SweepCell(n, strategy, representation, self.seeds[0]))
+            if self.jobs is not None:
+                _check_count("jobs", self.jobs)
+            for cell in expand_runs(self):
+                _run_config(self, cell)
         except ValueError as error:
             raise SweepConfigError(str(error)) from None
 
@@ -112,7 +109,7 @@ class SweepConfig:
 _INT_TUPLE_KEYS = {"sizes", "seeds"}
 _STR_TUPLE_KEYS = {"strategies", "representations"}
 _BOOL_KEYS = {"clip_td", "use_is_weights"}
-_INT_KEYS = {"budget", "minibatch", "resort_interval", "oracle_max_n", "jobs"}
+_INT_KEYS = {"budget", "minibatch", "resort_interval", "jobs"}
 _FLOAT_KEYS = {"alpha", "beta0", "eta", "epsilon", "mse_threshold"}
 _STR_KEYS = {"out_dir"}
 
@@ -128,8 +125,13 @@ def parse_on_off(raw: str) -> bool:
 
 
 def _parse_value(key: str, raw: str):
+    """The value of ``key`` read from its text, alike in config files and
+    flags. Lists are comma-separated; ``seeds`` also takes a bare count N,
+    meaning seeds 1..N."""
     raw = raw.strip()
     try:
+        if key == "seeds" and "," not in raw:
+            return tuple(range(1, int(raw) + 1))
         if key in _INT_TUPLE_KEYS:
             return tuple(int(part) for part in raw.split(",") if part.strip())
         if key in _STR_TUPLE_KEYS:
@@ -195,7 +197,7 @@ def expand_runs(config: SweepConfig) -> list[SweepCell]:
     for n in config.sizes:
         for strategy in config.strategies:
             for representation in config.representations:
-                skipped = strategy == "oracle" and n > config.oracle_max_n
+                skipped = strategy == "oracle" and n > ORACLE_MAX_N
                 for seed in config.seeds:
                     cells.append(SweepCell(n, strategy, representation, seed, skipped))
     return cells

@@ -14,8 +14,8 @@ from .bench import (
     OUT_DIR_ENV,
     SweepConfig,
     SweepConfigError,
+    _parse_value,
     load_sweep_config,
-    parse_on_off,
     run_sweep,
     validate_samplers,
     write_results,
@@ -33,27 +33,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+# (flag, SweepConfig key, help); every flag reads its text as a config file
+# reads its key
+_SWEEP_FLAGS = (
+    ("--sizes", "sizes", "comma-separated chain sizes, e.g. 2,4,8"),
+    ("--strategies", "strategies", "comma-separated strategy names"),
+    ("--representations", "representations", "tabular,linear (default both)"),
+    ("--seeds", "seeds", "seed count N (runs 1..N) or a comma list"),
+    ("--budget", "budget", "update budget per run before censoring"),
+    ("--alpha", "alpha", "prioritization exponent override"),
+    ("--beta0", "beta0", "initial importance-sampling exponent override"),
+    ("--eta", "eta", "gradient step size"),
+    ("--clip-td", "clip_td", "clip TD errors to [-1, 1]"),
+    ("--is-weights", "use_is_weights", "importance weights on|off"),
+    ("--jobs", "jobs", "parallel worker processes (default: cpu count)"),
+    ("--out-dir", "out_dir", "output directory for runs.csv/summary.csv"),
+)
 
 
-def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _value(key: str):
+    """Flag type that reads the text with the config file's parser."""
 
+    def parse(raw: str):
+        try:
+            return _parse_value(key, raw)
+        except SweepConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _seed_spec(raw: str) -> tuple[int, ...]:
-    """Either a seed count N (meaning 1..N) or an explicit comma list."""
-    parts = _int_list(raw)
-    if len(parts) == 1 and "," not in raw:
-        return tuple(range(1, parts[0] + 1))
-    return parts
-
-
-def _on_off(raw: str) -> bool:
-    try:
-        return parse_on_off(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,20 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the cliff-walk benchmark grid and write CSV results")
     sweep.add_argument("config", nargs="?", help="optional KEY = VALUE configuration file")
-    sweep.add_argument("--sizes", type=_int_list, help="comma-separated chain sizes, e.g. 2,4,8")
-    sweep.add_argument("--strategies", type=_str_list, help="comma-separated strategy names")
-    sweep.add_argument("--representations", type=_str_list, help="tabular,linear (default both)")
-    sweep.add_argument("--seeds", type=_seed_spec, help="seed count N (runs 1..N) or a comma list")
-    sweep.add_argument("--budget", type=int, help="update budget per run before censoring")
-    sweep.add_argument("--alpha", type=float, help="prioritization exponent override")
-    sweep.add_argument("--beta0", type=float, help="initial importance-sampling exponent override")
-    sweep.add_argument("--eta", type=float, help="gradient step size")
-    sweep.add_argument("--clip-td", type=_on_off, dest="clip_td", help="clip TD errors to [-1, 1]")
-    sweep.add_argument(
-        "--is-weights", type=_on_off, dest="use_is_weights", help="importance weights on|off"
-    )
-    sweep.add_argument("--jobs", type=int, help="parallel worker processes (default: cpu count)")
-    sweep.add_argument("--out-dir", dest="out_dir", help="output directory for runs.csv/summary.csv")
+    for flag, key, text in _SWEEP_FLAGS:
+        sweep.add_argument(flag, dest=key, type=_value(key), help=text)
 
     validate = sub.add_parser("validate", help="run the sampler micro-validation suite")
     validate.add_argument("--draws", type=int, default=1_000_000, help="Monte Carlo draws per check")
@@ -84,23 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_command(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "sizes",
-            "strategies",
-            "representations",
-            "seeds",
-            "budget",
-            "alpha",
-            "beta0",
-            "eta",
-            "clip_td",
-            "use_is_weights",
-            "jobs",
-            "out_dir",
-        )
-    }
+    overrides = {key: getattr(args, key) for _, key, _ in _SWEEP_FLAGS}
     try:
         if args.config:
             config = load_sweep_config(args.config, overrides)

@@ -20,12 +20,10 @@ from .core import Transition
 __all__ = [
     "MAX_STATES",
     "Cliffwalk",
-    "FeatureMap",
     "fill_memory",
     "memory_size",
     "value_iteration_q",
     "ground_truth_q",
-    "mse_to_truth",
 ]
 
 # Exhaustive fills enumerate 2**n action sequences; 16 states tops out at
@@ -69,37 +67,6 @@ class Cliffwalk:
     def transitions(self) -> tuple[Transition, ...]:
         """The chain's 2n distinct transitions, indexed by cell 2 * state + action."""
         return tuple(self.step(s, a) for s in range(self.n_states) for a in (0, 1))
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """State-action features: a one-hot indicator, optionally plus a constant bias of 1.
-
-    Without the bias this is an exact tabular parameterization; with it, every
-    feature vector has exactly two unit entries and updates couple through the
-    shared bias weight.
-    """
-
-    n_states: int
-    bias: bool = False
-
-    @property
-    def n_cells(self) -> int:
-        return 2 * self.n_states
-
-    @property
-    def dimension(self) -> int:
-        return self.n_cells + (1 if self.bias else 0)
-
-    def cell(self, state: int, action: int) -> int:
-        return 2 * state + action
-
-    def vector(self, state: int, action: int) -> np.ndarray:
-        phi = np.zeros(self.dimension, dtype=np.float64)
-        phi[self.cell(state, action)] = 1.0
-        if self.bias:
-            phi[-1] = 1.0
-        return phi
 
 
 def memory_size(n_states: int) -> int:
@@ -167,11 +134,3 @@ def ground_truth_q(spec: Cliffwalk) -> np.ndarray:
     """
     return _verified_truth(spec)
 
-
-def mse_to_truth(q_estimate, spec: Cliffwalk) -> float:
-    """Mean squared error of a (n, 2) value table against the ground truth."""
-    estimate = np.asarray(q_estimate, dtype=np.float64)
-    truth = ground_truth_q(spec)
-    if estimate.shape != truth.shape:
-        raise ValueError(f"expected shape {truth.shape}, got {estimate.shape}")
-    return float(np.mean((estimate - truth) ** 2))

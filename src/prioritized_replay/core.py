@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
+        _check_count("capacity", self.capacity)
         _check_nonnegative("alpha", self.alpha)
         _check_positive("epsilon", self.epsilon)
-        if self.minibatch < 1:
-            raise ValueError("minibatch must be a positive integer")
-        if self.resort_interval < 1:
-            raise ValueError("resort_interval must be a positive integer")
+        _check_count("minibatch", self.minibatch)
+        _check_count("resort_interval", self.resort_interval)
 
 
 @dataclass
@@ -125,6 +123,17 @@ def _check_positive(name: str, value: float) -> None:
     """Reject a value that is zero, negative, NaN or infinite."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject a bool, a non-integer or an integer below ``minimum``; numpy
+    integers pass."""
+    try:
+        valid = not isinstance(value, bool) and operator.index(value) >= minimum
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def td_magnitude(td_error: float, clip: bool = False) -> float:

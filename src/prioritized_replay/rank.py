@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_nonnegative
+from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_count, _check_nonnegative
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
 
@@ -37,8 +37,7 @@ class RankStore:
     """
 
     def __init__(self, capacity: int, resort_interval: int = 1_000_000):
-        if resort_interval < 1:
-            raise ValueError("resort_interval must be a positive integer")
+        _check_count("resort_interval", resort_interval)
         self._keys: list[float] = []
         self._slots: list[int] = []
         self._pos: list[int] = [-1] * capacity

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_nonnegative
+from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_count, _check_nonnegative
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -39,9 +39,8 @@ class SumTree:
     __slots__ = ("capacity", "levels", "node_touches", "_nodes", "_stale", "_crossover")
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be a positive integer")
-        cap = 1 << (capacity - 1).bit_length() if capacity > 1 else 1
+        _check_count("capacity", capacity)
+        cap = 1 << (int(capacity) - 1).bit_length() if capacity > 1 else 1
         self.capacity = cap
         self.levels = cap.bit_length() - 1
         self._nodes = np.zeros(2 * cap - 1, dtype=np.float64)

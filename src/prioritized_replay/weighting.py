@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_count
+
 __all__ = ["AnnealSchedule", "is_weights"]
 
 
@@ -22,8 +24,7 @@ class AnnealSchedule:
     budget: int
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError("budget must be a positive integer")
+        _check_count("budget", self.budget)
 
     def value(self, step: int) -> float:
         if step <= 0:

@@ -4,31 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prioritized_replay import (
-    Cliffwalk,
-    FeatureMap,
-    LinearQ,
-    RunConfig,
-    Transition,
-    fill_memory,
-    greedy_select,
-    ground_truth_q,
-    oracle_select,
-    run_training,
-)
-from prioritized_replay.agent import REPRESENTATIONS, STRATEGIES
+from prioritized_replay import Cliffwalk, RunConfig, fill_memory, ground_truth_q, run_training
+from prioritized_replay.agent import INIT_SCALE, REPRESENTATIONS, STRATEGIES, _GreedySelector
+from reference import LinearQ, oracle_select
+
+
+def dimension(n, bias=False):
+    """One weight per cell, plus the shared bias weight."""
+    return 2 * n + (1 if bias else 0)
 
 
 def zero_q(n, bias=False):
-    fm = FeatureMap(n, bias=bias)
-    return LinearQ(fm, theta=np.zeros(fm.dimension))
+    return LinearQ(np.zeros(dimension(n, bias)), bias=bias)
 
 
 def truth_theta(n, bias=False):
     """Parameters that represent the optimal values exactly (bias weight 0)."""
-    fm = FeatureMap(n, bias=bias)
-    theta = np.zeros(fm.dimension)
-    theta[: fm.n_cells] = ground_truth_q(Cliffwalk(n)).reshape(-1)
+    theta = np.zeros(dimension(n, bias))
+    theta[: 2 * n] = ground_truth_q(Cliffwalk(n)).reshape(-1)
     return theta
 
 
@@ -55,19 +48,10 @@ def test_unrewarded_transitions_have_zero_td_error_at_zero_q():
 @pytest.mark.parametrize("bias", [False, True])
 def test_td_error_vanishes_at_the_fixed_point(n, bias):
     spec = Cliffwalk(n)
-    q = LinearQ(FeatureMap(n, bias=bias), theta=truth_theta(n, bias))
+    q = LinearQ(truth_theta(n, bias), bias=bias)
     for s in range(n):
         for a in (0, 1):
             assert q.td_error(spec.step(s, a)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_td_error_uses_target_values_at_the_online_argmax():
-    fm = FeatureMap(2)
-    online = LinearQ(fm, theta=np.array([0.0, 0.0, 1.0, 2.0]))
-    target = LinearQ(fm, theta=np.array([0.0, 0.0, 5.0, 7.0]))
-    t = Transition(0, 0, 0.0, 0.5, 1)
-    # online argmax at state 1 is action 1, evaluated under the target: 7
-    assert online.td_error(t, bootstrap=target) == pytest.approx(0.5 * 7.0)
 
 
 # -- updates ------------------------------------------------------------------
@@ -104,20 +88,19 @@ def test_tabular_update_reverts_bitwise():
     t = spec.step(1, spec.right_action(1))
     before = q.theta.copy()
     delta = q.apply(t, 1.0)
-    q.theta[q.features.cell(1, 1)] -= q.step_size * delta
+    q.theta[2 * 1 + 1] -= q.step_size * delta
     assert np.array_equal(q.theta, before)
 
 
 def test_linear_update_reverts_within_tolerance():
     rng = np.random.default_rng(3)
     spec = Cliffwalk(4)
-    fm = FeatureMap(4, bias=True)
-    q = LinearQ(fm, theta=rng.normal(0, 0.3, fm.dimension))
+    q = LinearQ(rng.normal(0, 0.3, dimension(4, bias=True)), bias=True)
     t = spec.step(1, spec.right_action(1))
     before = q.theta.copy()
     delta = q.apply(t, 0.7)
     step = q.step_size * 0.7 * delta
-    q.theta[fm.cell(1, 1)] -= step
+    q.theta[2 * 1 + 1] -= step
     q.theta[-1] -= step
     assert np.allclose(q.theta, before, atol=1e-12)
 
@@ -125,17 +108,24 @@ def test_linear_update_reverts_within_tolerance():
 # -- selectors ------------------------------------------------------------------
 
 
+def greedy_pick(magnitudes):
+    selector = _GreedySelector(len(magnitudes), clip=False)
+    selector.magnitudes[:] = magnitudes
+    slots, weights = selector.next(0)
+    assert weights is None
+    return slots[0]
+
+
 def test_greedy_select_takes_the_argmax_with_lowest_slot_ties():
-    assert greedy_select([0.1, 0.9, 0.3]) == 1
-    assert greedy_select([0.5, 0.5, 0.5]) == 0
-    with pytest.raises(ValueError):
-        greedy_select([])
+    assert greedy_pick([0.1, 0.9, 0.3]) == 1
+    assert greedy_pick([0.5, 0.5, 0.5]) == 0
+    assert greedy_pick([0.2, 0.7, 0.7]) == 1
 
 
 def test_greedy_choice_is_scale_invariant():
     rng = np.random.default_rng(0)
     magnitudes = rng.uniform(0, 1, 50)
-    assert greedy_select(magnitudes) == greedy_select(magnitudes * 37.5)
+    assert greedy_pick(magnitudes) == greedy_pick(magnitudes * 37.5)
 
 
 def test_oracle_on_a_single_transition_memory():
@@ -155,7 +145,7 @@ def test_oracle_picks_the_rewarded_transition_first_at_zero_q():
 def test_oracle_ties_break_to_slot_zero_at_the_fixed_point():
     spec = Cliffwalk(2)
     memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(1))]
-    q = LinearQ(FeatureMap(2), theta=truth_theta(2))
+    q = LinearQ(truth_theta(2))
     assert oracle_select(memory, q, ground_truth_q(spec)) == 0
 
 
@@ -177,11 +167,11 @@ def test_fast_oracle_loop_matches_the_reference_selector():
         fill_seed, init_seed, _ = root.spawn(3)
         spec = Cliffwalk(n)
         memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(fill_seed))]
-        fm = FeatureMap(n, bias=representation == "linear")
+        bias = representation == "linear"
         if given_theta:
-            theta = np.random.default_rng(7).normal(0, 0.2, fm.dimension)
+            theta = np.random.default_rng(7).normal(0, 0.2, dimension(n, bias))
         else:
-            theta = np.random.default_rng(init_seed).normal(0.0, config.init_scale, fm.dimension)
+            theta = np.random.default_rng(init_seed).normal(0.0, INIT_SCALE, dimension(n, bias))
 
         picks = []
         run_training(
@@ -190,7 +180,7 @@ def test_fast_oracle_loop_matches_the_reference_selector():
             initial_theta=theta if given_theta else None,
         )
         assert len(picks) == budget
-        q = LinearQ(fm, theta=theta)
+        q = LinearQ(theta, bias=bias)
         truth = ground_truth_q(spec)
         for step, fast_pick in enumerate(picks):
             reference = oracle_select(memory, q, truth)
@@ -200,7 +190,7 @@ def test_fast_oracle_loop_matches_the_reference_selector():
 
 def test_oracle_loop_ties_break_to_slot_zero_at_the_fixed_point():
     """At the ground truth every candidate leaves the same error, so the loop
-    must pick slot 0 as :func:`oracle_select` does, even when slot 0 does not
+    must pick slot 0 as the reference selector does, even when slot 0 does not
     hold cell 0 (an argmin in cell order would pick cell 0's first slot)."""
     n = 2
     for seed, bias, representation in ((2, False, "tabular"), (3, True, "linear")):
@@ -210,10 +200,9 @@ def test_oracle_loop_ties_break_to_slot_zero_at_the_fixed_point():
         fill_seed, _, _ = root.spawn(3)
         spec = Cliffwalk(n)
         memory = [spec.transitions[c] for c in fill_memory(spec, np.random.default_rng(fill_seed))]
-        fm = FeatureMap(n, bias=bias)
-        assert fm.cell(memory[0].prev_state, memory[0].action) != 0
+        assert (memory[0].prev_state, memory[0].action) != (0, 0)
         theta = truth_theta(n, bias=bias)
-        assert oracle_select(memory, LinearQ(fm, theta=theta), ground_truth_q(spec)) == 0
+        assert oracle_select(memory, LinearQ(theta, bias=bias), ground_truth_q(spec)) == 0
 
         picks = []
         config = RunConfig(
@@ -328,54 +317,40 @@ def test_greedy_refreshes_the_stored_magnitude_after_replay():
 
 
 def test_fast_loops_match_linear_q_replays():
-    """Replaying the instrument trace through LinearQ, with a target copy
-    refreshed every ``target_copy_period`` steps, reproduces the fast state."""
+    """Replaying the instrument trace through the reference LinearQ
+    reproduces the fast loop's TD errors."""
     stochastic_keys = {"beta", "probability", "priority"}
     for strategy in ("uniform", "greedy_td", "rank_stochastic", "proportional_stochastic"):
         keys = {"slot", "td_error", "weight", "step"}
         if strategy in ("rank_stochastic", "proportional_stochastic"):
             keys |= stochastic_keys
         for representation in REPRESENTATIONS:
-            for period in (1, 7):
-                n = 3
-                config = RunConfig(
-                    n_states=n, strategy=strategy, representation=representation, seed=4,
-                    budget=200, mse_threshold=0.0, target_copy_period=period,
-                )
-                fm = FeatureMap(n, bias=representation == "linear")
-                theta0 = np.random.default_rng(11).normal(0, 0.2, fm.dimension)
-                trace = []
-                run_training(
-                    config,
-                    instrument=lambda ev, **d: trace.append(d) if ev == "replay" else None,
-                    initial_theta=theta0,
-                )
-                root = np.random.SeedSequence(
-                    [4, n, STRATEGIES.index(strategy), REPRESENTATIONS.index(representation)]
-                )
-                fill_seed, _, _ = root.spawn(3)
-                spec = Cliffwalk(n)
-                cells = fill_memory(spec, np.random.default_rng(fill_seed))
-                memory = [spec.transitions[c] for c in cells]
-                q = LinearQ(fm, theta=theta0)
-                target = q.copy()
-                assert [event["step"] for event in trace] == list(range(1, 201))
-                for event in trace:
-                    assert set(event) == keys, strategy
-                    transition = memory[event["slot"]]
-                    td = q.td_error(transition, bootstrap=target)
-                    q.apply(transition, event["weight"], td_error=td)
-                    assert td == pytest.approx(event["td_error"], abs=1e-12)
-                    if event["step"] % period == 0:
-                        target = q.copy()
-
-
-def test_target_network_lag_changes_the_bootstrap():
-    fast = run_training(RunConfig(n_states=4, strategy="uniform", seed=6, budget=3000))
-    lagged = run_training(
-        RunConfig(n_states=4, strategy="uniform", seed=6, budget=3000, target_copy_period=100)
-    )
-    assert fast.updates != lagged.updates or fast.final_mse != lagged.final_mse
+            n = 3
+            bias = representation == "linear"
+            config = RunConfig(
+                n_states=n, strategy=strategy, representation=representation, seed=4,
+                budget=200, mse_threshold=0.0,
+            )
+            theta0 = np.random.default_rng(11).normal(0, 0.2, dimension(n, bias))
+            trace = []
+            run_training(
+                config,
+                instrument=lambda ev, **d: trace.append(d) if ev == "replay" else None,
+                initial_theta=theta0,
+            )
+            root = np.random.SeedSequence(
+                [4, n, STRATEGIES.index(strategy), REPRESENTATIONS.index(representation)]
+            )
+            fill_seed, _, _ = root.spawn(3)
+            spec = Cliffwalk(n)
+            cells = fill_memory(spec, np.random.default_rng(fill_seed))
+            memory = [spec.transitions[c] for c in cells]
+            q = LinearQ(theta0, bias=bias)
+            assert [event["step"] for event in trace] == list(range(1, 201))
+            for event in trace:
+                assert set(event) == keys, strategy
+                td = q.apply(memory[event["slot"]], event["weight"])
+                assert td == pytest.approx(event["td_error"], abs=1e-12)
 
 
 def test_run_config_validation():
@@ -403,21 +378,28 @@ def test_run_config_validation():
         dict(step_size=-0.25),
         dict(mse_threshold=float("nan")),
         dict(mse_threshold=-1e-3),
-        dict(init_scale=float("nan")),
-        dict(init_scale=float("inf")),
-        dict(init_scale=-0.1),
         dict(epsilon=float("nan")),
         dict(epsilon=0.0),
         dict(minibatch=0),
         dict(resort_interval=0),
+        # a fractional budget used to run 3 updates and report a censored run
+        dict(budget=2.5),
+        dict(budget=True),
+        # these used to fail with a TypeError inside run_training
+        dict(minibatch=2.5),
+        dict(n_states=4.0),
+        # a negative seed used to fail inside SeedSequence, in a sweep inside a worker
+        dict(seed=-1),
     ):
         for strategy in ("uniform", "rank_stochastic"):
             with pytest.raises(ValueError):
-                RunConfig(n_states=4, strategy=strategy, **bad)
+                RunConfig(**{"n_states": 4, "strategy": strategy, **bad})
     RunConfig(n_states=4, strategy="rank_stochastic", alpha=0.0, beta0=0.0)
-    # a zero threshold forces a run to its budget; a zero scale starts at zero
-    RunConfig(n_states=4, strategy="uniform", mse_threshold=0.0, init_scale=0.0)
+    # a zero threshold forces a run to its budget
+    RunConfig(n_states=4, strategy="uniform", mse_threshold=0.0)
     RunConfig(n_states=4, strategy="rank_stochastic", beta0=1.0)
+    # counts may be numpy integers, and a seed may be 0
+    RunConfig(n_states=np.int64(4), strategy="uniform", seed=np.int64(0), budget=np.int32(10))
 
 
 def test_done_reports_beta_only_for_annealed_strategies():

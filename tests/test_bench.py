@@ -94,6 +94,9 @@ def test_config_validation():
         dict(mse_threshold=-1e-3),
         dict(jobs=0),
         dict(jobs=-1),
+        dict(jobs=1.5),
+        # every seed reaches a RunConfig, not only the first
+        dict(seeds=(1, -1)),
     ):
         with pytest.raises(SweepConfigError):
             SweepConfig(**bad)
@@ -168,6 +171,26 @@ def test_a_bad_on_off_word_is_refused_alike_in_files_and_flags(tmp_path, capsys)
         load_sweep_config(path)
     assert main(["sweep", "--is-weights", "maybe"]) == 1
     assert "expected on or off, got 'maybe'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        pytest.param("sizes", "2,4", (2, 4), id="sizes"),
+        pytest.param("sizes", "8", (8,), id="one-size"),
+        pytest.param("strategies", "uniform, greedy_td", ("uniform", "greedy_td"), id="strategies"),
+        pytest.param("representations", "linear", ("linear",), id="representations"),
+        # a bare seed count N means seeds 1..N in both places
+        pytest.param("seeds", "3", (1, 2, 3), id="seed-count"),
+        pytest.param("seeds", "4,7", (4, 7), id="seed-list"),
+        pytest.param("seeds", "5,", (5,), id="one-seed"),
+    ],
+)
+def test_lists_read_the_same_in_files_and_flags(tmp_path, key, text, value):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{key} = {text}\n")
+    assert getattr(load_sweep_config(path), key) == value
+    assert getattr(build_parser().parse_args(["sweep", f"--{key}", text]), key) == value
 
 
 # -- sweeps ----------------------------------------------------------------------

@@ -3,11 +3,9 @@ import pytest
 
 from prioritized_replay import (
     Cliffwalk,
-    FeatureMap,
     fill_memory,
     ground_truth_q,
     memory_size,
-    mse_to_truth,
     value_iteration_q,
 )
 
@@ -180,43 +178,3 @@ def test_wrong_actions_are_worth_zero():
     for s in range(9):
         assert q[s, 1 - spec.right_action(s)] == 0.0
 
-
-def test_mse_examples():
-    spec = Cliffwalk(2)
-    assert mse_to_truth(ground_truth_q(spec), spec) == 0.0
-    assert mse_to_truth(np.zeros((2, 2)), spec) == pytest.approx(0.3125)
-
-
-def test_mse_threshold_crossing():
-    spec = Cliffwalk(2)
-    truth = ground_truth_q(spec)
-    noise = np.full((2, 2), 0.04)
-    assert mse_to_truth(truth + noise, spec) > 1e-3
-    assert mse_to_truth(truth + noise / 2, spec) < 1e-3
-
-
-def test_mse_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        mse_to_truth(np.zeros((3, 2)), Cliffwalk(2))
-
-
-# -- features ----------------------------------------------------------------------
-
-
-def test_tabular_features_have_a_single_unit_entry():
-    fm = FeatureMap(4)
-    assert fm.dimension == 8
-    phi = fm.vector(2, 1)
-    assert phi.sum() == 1.0 and phi[fm.cell(2, 1)] == 1.0
-
-
-def test_linear_features_have_indicator_plus_bias():
-    fm = FeatureMap(4, bias=True)
-    assert fm.dimension == 9
-    for s in range(4):
-        for a in (0, 1):
-            phi = fm.vector(s, a)
-            nonzero = np.nonzero(phi)[0]
-            assert len(nonzero) == 2
-            assert np.all(phi[nonzero] == 1.0)
-            assert nonzero[1] == fm.dimension - 1

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prioritized_replay import (
+    AnnealSchedule,
     ProportionalSampler,
     RankSampler,
+    RankStore,
     SampledBatch,
     SamplerConfig,
+    SumTree,
     Transition,
     build_partition,
     sampling_probabilities,
@@ -119,6 +122,29 @@ def test_sampler_config_validation():
             SamplerConfig(capacity=4, alpha=bad_alpha)
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, minibatch=0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "4", None])
+def test_every_count_must_be_a_positive_whole_number(bad):
+    for make in (
+        lambda v: SamplerConfig(capacity=v),
+        lambda v: SamplerConfig(capacity=4, minibatch=v),
+        lambda v: SamplerConfig(capacity=4, resort_interval=v),
+        lambda v: AnnealSchedule(0.5, 1.0, v),
+        lambda v: RankStore(capacity=4, resort_interval=v),
+        lambda v: SumTree(v),
+    ):
+        with pytest.raises(ValueError):
+            make(bad)
+
+
+def test_numpy_integer_counts_are_accepted():
+    for cls in (ProportionalSampler, RankSampler):
+        sampler = cls(SamplerConfig(capacity=np.int64(5), minibatch=np.int32(2)))
+        sampler.store(TERMINAL)
+        assert len(sampler.sample()) == 2
+    assert SumTree(np.int64(5)).capacity == 8
+    assert AnnealSchedule(0.5, 1.0, np.int64(4)).value(2) == 0.75
 
 
 def test_sampled_batch_validation():

@@ -261,18 +261,22 @@ class _PrioritizedSelector(_Selector):
         self.schedule = AnnealSchedule(beta0, 1.0, config.budget)
         self.use_is_weights = config.use_is_weights
         self.memory_len = len(sampler)
+        self.minibatch = config.minibatch
+        self.rng = rng
 
     def next(self, updates: int):
         self.beta = self.schedule.value(updates)
-        self.batch = batch = self.sampler.sample()
+        # the sampler's draw without sample()'s SampledBatch: is_weights checks
+        # the probabilities once per minibatch
+        slots, self.probabilities = self.sampler._draw(self.minibatch, self.rng)
         if not self.use_is_weights:
-            return batch.indices, None
-        return batch.indices, is_weights(batch.probabilities, self.memory_len, self.beta).tolist()
+            return slots, None
+        return slots, is_weights(self.probabilities, self.memory_len, self.beta).tolist()
 
     def describe(self, j: int, slot: int) -> dict:
         return {
             "beta": self.beta,
-            "probability": float(self.batch.probabilities[j]),
+            "probability": self.probabilities[j],
             "priority": self.sampler.priority(slot),
         }
 

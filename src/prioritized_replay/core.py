@@ -86,10 +86,7 @@ class SampledBatch:
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
         if not (len(self.indices) == self.probabilities.size == len(self.transitions)):
             raise ValueError("indices, probabilities, and transitions must have equal length")
-        if self.probabilities.size and not (
-            (self.probabilities > 0.0) & (self.probabilities <= 1.0)
-        ).all():
-            raise ValueError("sampling probabilities must lie in (0, 1]")
+        _check_probabilities("sampling probabilities", self.probabilities)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -123,6 +120,13 @@ def _check_positive(name: str, value: float) -> None:
     """Reject a value that is zero, negative, NaN or infinite."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_probabilities(name: str, p: np.ndarray) -> None:
+    """Reject an array holding any value outside (0, 1]."""
+    # NaN fails every comparison, so this one test rejects it too
+    if not ((p > 0.0) & (p <= 1.0)).all():
+        raise ValueError(f"{name} must lie in (0, 1]")
 
 
 def _check_count(name: str, value, minimum: int = 1) -> None:

@@ -37,6 +37,7 @@ class RankStore:
     """
 
     def __init__(self, capacity: int, resort_interval: int = 1_000_000):
+        _check_count("capacity", capacity)
         _check_count("resort_interval", resort_interval)
         self._keys: list[float] = []
         self._slots: list[int] = []
@@ -220,6 +221,8 @@ class RankSampler(PrioritizedMemory):
         self.heap = RankStore(config.capacity, config.resort_interval)
         self._alpha = config.alpha
         self._partition: Partition | None = None
+        # (first rank, rank count, cumulative mass at start, mass) per segment
+        self._pieces: list[tuple[int, int, float, float]] = []
 
     @property
     def alpha(self) -> float:
@@ -261,6 +264,8 @@ class RankSampler(PrioritizedMemory):
         ):
             p = build_partition(n, self._alpha, segments)
             self._partition = p
+            b, c = p.boundaries, p.cumulative
+            self._pieces = [(b[j], b[j + 1] - b[j], c[j], c[j + 1] - c[j]) for j in range(segments)]
         return p
 
     def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
@@ -269,28 +274,32 @@ class RankSampler(PrioritizedMemory):
             raise ValueError("minibatch size must be positive")
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
-        rng = self._rng if rng is None else rng
-        part = self.partition_for(k)
-        bounds, knots = part.boundaries, part.cumulative
-        last_piece, last_rank = part.segments - 1, self._size - 1
+        slots, probs = self._draw(k, self._rng if rng is None else rng)
+        return SampledBatch(
+            indices=slots, probabilities=probs, transitions=[self._transitions[s] for s in slots]
+        )
+
+    def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
+        """Slots and probabilities of one stratified minibatch of ``k`` from a
+        non-empty memory, unchecked: what :meth:`sample` wraps."""
+        knots = self.partition_for(k).cumulative
+        pieces = self._pieces
+        last_piece, last_rank = len(pieces) - 1, self._size - 1
         heap_slots = self.heap._slots
-        # _draw_ranks' arithmetic in the same order, on Python scalars: numpy's
-        # per-call overhead on k-element arrays costs more than the arithmetic
+        # _draw_ranks' arithmetic in the same order, on Python scalars (numpy's
+        # per-call overhead on k-element arrays, and min()'s, cost more than
+        # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative;
+        # u can round to 1.0 (piece `segments`), and ranks clamp to the live count
         slots, probs = [], []
         for j, r in enumerate(rng.random(k).tolist()):
             u = (j + r) / k
-            piece = min(max(bisect_right(knots, u) - 1, 0), last_piece)
-            lo = bounds[piece]
-            count = bounds[piece + 1] - lo
-            span = knots[piece + 1] - knots[piece]
-            rank = lo + min(int((u - knots[piece]) / span * count), count - 1)
-            slots.append(heap_slots[min(max(rank, 0), last_rank)])
+            piece = bisect_right(knots, u) - 1
+            lo, count, knot, span = pieces[piece if piece < last_piece else last_piece]
+            offset = int((u - knot) / span * count)
+            rank = lo + (offset if offset < count else count - 1)
+            slots.append(heap_slots[rank if rank < last_rank else last_rank])
             probs.append(span / count)
-        return SampledBatch(
-            indices=slots,
-            probabilities=probs,
-            transitions=[self._transitions[s] for s in slots],
-        )
+        return slots, probs
 
     def sample_many(
         self, k: int, batches: int, rng: np.random.Generator | None = None

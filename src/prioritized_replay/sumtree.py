@@ -128,25 +128,34 @@ class SumTree:
         otherwise subtracts that sum and descends right, so a value exactly on
         a boundary belongs to the right neighbor.
         """
-        if self._stale:
-            self._settle()
-        nodes = self._nodes.data
-        total = nodes[0]
+        total = self.total
         if total <= 0.0:
             raise ValueError("tree holds no positive mass")
         if not 0.0 <= value < total:
             raise ValueError(f"value {value!r} outside [0, {total!r})")
-        node = 0
-        for _ in range(self.levels):
-            left = 2 * node + 1
-            left_sum = nodes[left]
-            if value < left_sum:
-                node = left
-            else:
-                value -= left_sum
-                node = left + 1
-        self.node_touches += 2 * self.levels
-        return node - (self.capacity - 1)
+        return self._descend([value])[0]
+
+    def _descend(self, values: list[float]) -> list[int]:
+        """:meth:`find_by_value` for each of ``values``, which the caller has
+        checked against a settled tree's total."""
+        # Python floats over the array's own buffer, as in _settle
+        nodes = self._nodes.data
+        levels = self.levels
+        offset = self.capacity - 1
+        leaves = []
+        for value in values:
+            node = 0
+            for _ in range(levels):
+                left = 2 * node + 1
+                left_sum = nodes[left]
+                if value < left_sum:
+                    node = left
+                else:
+                    value -= left_sum
+                    node = left + 1
+            leaves.append(node - offset)
+        self.node_touches += 2 * levels * len(values)
+        return leaves
 
     def find_many(self, values) -> np.ndarray:
         """Vectorized :meth:`find_by_value` for an array of query values."""
@@ -239,23 +248,27 @@ class ProportionalSampler(PrioritizedMemory):
             raise ValueError("minibatch size must be positive")
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
-        rng = self._rng if rng is None else rng
+        slots, probs = self._draw(k, self._rng if rng is None else rng)
+        return SampledBatch(
+            indices=slots, probabilities=probs, transitions=[self._transitions[i] for i in slots]
+        )
+
+    def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
+        """Slots and probabilities of one stratified minibatch of ``k`` from a
+        non-empty memory, unchecked: what :meth:`sample` wraps."""
         tree = self.tree
         total = tree.total
+        if total <= 0.0:
+            raise ValueError("tree holds no positive mass")
         top = math.nextafter(total, 0.0)
         # one draw per stratum, with sample_many's arithmetic in the same order,
-        # so both paths pick the same slots from the same generator state
-        leaves = [
-            tree.find_by_value(min((j + u) / k * total, top))
-            for j, u in enumerate(rng.random(k).tolist())
-        ]
-        nodes = tree.nodes.data
+        # so both paths pick the same slots from the same generator state (a
+        # conditional clamps for a fraction of the cost of min())
+        strata = enumerate(rng.random(k).tolist())
+        leaves = tree._descend([v if (v := (j + u) / k * total) < top else top for j, u in strata])
+        nodes = tree._nodes.data
         offset = tree.capacity - 1
-        return SampledBatch(
-            indices=leaves,
-            probabilities=[nodes[offset + leaf] / total for leaf in leaves],
-            transitions=[self._transitions[i] for i in leaves],
-        )
+        return leaves, [nodes[offset + leaf] / total for leaf in leaves]
 
     def sample_many(
         self, k: int, batches: int, rng: np.random.Generator | None = None

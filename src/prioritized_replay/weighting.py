@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count
+from .core import _check_count, _check_probabilities
 
 __all__ = ["AnnealSchedule", "is_weights"]
 
@@ -44,9 +44,7 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         raise ValueError("probabilities must be non-empty")
-    # NaN fails every comparison, so this one test rejects it too
-    if not ((p > 0.0) & (p <= 1.0)).all():
-        raise ValueError("probabilities must lie in (0, 1]")
+    _check_probabilities("probabilities", p)
     if memory_size < 1:
         raise ValueError("memory_size must be a positive integer")
     if not 0.0 <= beta <= 1.0:

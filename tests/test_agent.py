@@ -236,6 +236,22 @@ def test_oracle_regression_at_eight_states():
     assert linear.updates == 3055
 
 
+def test_stochastic_regression_at_eight_states():
+    # the seed-1 n = 8 rows of a default sweep's runs.csv; they move if the
+    # samplers' draw arithmetic or its order changes
+    expected = {
+        ("rank_stochastic", "tabular"): 4163,
+        ("rank_stochastic", "linear"): 2676,
+        ("proportional_stochastic", "tabular"): 2680,
+        ("proportional_stochastic", "linear"): 2532,
+    }
+    for (strategy, representation), updates in expected.items():
+        result = run_training(
+            RunConfig(n_states=8, strategy=strategy, representation=representation, seed=1)
+        )
+        assert (result.updates, result.converged) == (updates, True), (strategy, representation)
+
+
 def test_stalled_oracle_run_ends_at_its_fixed_point_as_the_window_would():
     """The seed-1 n = 8 linear run stops moving at update 1,017 and its stall
     window closes at 3,055; the skipped updates still count and still emit

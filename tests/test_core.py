@@ -132,6 +132,7 @@ def test_every_count_must_be_a_positive_whole_number(bad):
         lambda v: SamplerConfig(capacity=4, resort_interval=v),
         lambda v: AnnealSchedule(0.5, 1.0, v),
         lambda v: RankStore(capacity=4, resort_interval=v),
+        lambda v: RankStore(capacity=v),
         lambda v: SumTree(v),
     ):
         with pytest.raises(ValueError):
@@ -144,6 +145,9 @@ def test_numpy_integer_counts_are_accepted():
         sampler.store(TERMINAL)
         assert len(sampler.sample()) == 2
     assert SumTree(np.int64(5)).capacity == 8
+    store = RankStore(capacity=np.int64(5))
+    store.insert(4, 1.0)
+    assert 4 in store
     assert AnnealSchedule(0.5, 1.0, np.int64(4)).value(2) == 0.75
 
 

@@ -430,3 +430,47 @@ def test_sample_draws_what_sample_many_draws_after_set_alpha():
     sampler.set_alpha(0.3)
     assert sampler.partition_for(16) is not first
     assert_sample_matches_the_bulk_path(sampler, 16)
+
+
+def assert_draw_is_what_sample_wraps(sampler, k):
+    for seed in range(5):
+        batch = sampler.sample(k, rng=np.random.default_rng(seed))
+        slots, probs = sampler._draw(k, np.random.default_rng(seed))
+        assert (slots, probs) == (batch.indices, batch.probabilities.tolist())
+
+
+@pytest.mark.parametrize("size, capacity, k", [(100, 100, 16), (300, 300, 32), (100, 200, 16), (5, 8, 16), (1, 4, 4)])
+def test_draw_is_what_sample_wraps(size, capacity, k):
+    assert_draw_is_what_sample_wraps(stored_sampler(size, capacity=capacity, minibatch=k), k)
+
+
+def test_draw_is_what_sample_wraps_on_a_reused_partition_across_set_alpha():
+    sampler = stored_sampler(100, capacity=200)
+    first = sampler.partition_for(16)
+    for _ in range(9):  # occupancy 109, within 10% of 100: ranks past 100 unreachable
+        sampler.store(TERMINAL)
+    assert sampler.partition_for(16) is first
+    assert_draw_is_what_sample_wraps(sampler, 16)
+    sampler.set_alpha(0.3)
+    assert_draw_is_what_sample_wraps(sampler, 16)
+    assert sampler.partition_for(16) is not first
+
+
+class LastStratumTop:
+    """Generator stub whose last stratum draws the largest double below 1."""
+
+    def random(self, k):
+        return np.array([0.5] * (k - 1) + [1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("size, capacity", [(100, 100), (109, 200)])
+def test_a_stratum_end_rounding_to_one_draws_from_the_last_piece(size, capacity):
+    sampler = stored_sampler(100, capacity=capacity)
+    for _ in range(size - 100):
+        sampler.store(TERMINAL)
+    part = sampler.partition_for(16)
+    assert (15 + (1.0 - 2.0**-53)) / 16 == 1.0  # past the last knot's bisect
+    slots, probs = sampler._draw(16, LastStratumTop())
+    assert part.boundaries[-2] < sampler.heap.rank_of(slots[-1]) <= min(part.size, size)
+    assert probs[-1] == part.segment_masses()[-1] / part.segment_counts()[-1]
+    assert sampler.sample(16, rng=LastStratumTop()).indices == slots

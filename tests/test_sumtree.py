@@ -323,18 +323,62 @@ def test_eviction_removes_old_mass_in_the_same_call():
     assert sampler.priority(0) == pytest.approx(sampler.max_priority)
 
 
-@pytest.mark.parametrize("capacity, occupied, k", [(8, 8, 4), (37, 37, 16), (37, 5, 16), (1000, 700, 32)])
-def test_sample_draws_what_sample_many_draws(capacity, occupied, k):
-    """The per-call and the bulk path give the same slots and probabilities."""
+def stored_sampler(capacity, occupied, k):
+    """Sampler holding ``occupied`` transitions under Student-t TD errors."""
     sampler = ProportionalSampler(SamplerConfig(capacity=capacity, alpha=0.6, minibatch=k))
     td_rng = np.random.default_rng(capacity)
     for _ in range(occupied):
         sampler.store(TERMINAL)
     for slot, td in enumerate(td_rng.standard_t(2, size=occupied)):
         sampler.update_priority(slot, float(td))
+    return sampler
+
+
+DRAW_CASES = [(8, 8, 4), (37, 37, 16), (37, 5, 16), (1000, 700, 32)]
+
+
+@pytest.mark.parametrize("capacity, occupied, k", DRAW_CASES)
+def test_sample_draws_what_sample_many_draws(capacity, occupied, k):
+    """The per-call and the bulk path give the same slots and probabilities."""
+    sampler = stored_sampler(capacity, occupied, k)
     offset = sampler.tree.capacity - 1
     for seed in range(5):
         batch = sampler.sample(k, rng=np.random.default_rng(seed))
         bulk = sampler.sample_many(k, 1, rng=np.random.default_rng(seed))[0]
         assert batch.indices == bulk.tolist()
         assert np.array_equal(batch.probabilities, sampler.tree.nodes[offset + bulk] / sampler.tree.total)
+
+
+@pytest.mark.parametrize("capacity, occupied, k", DRAW_CASES)
+def test_draw_is_what_sample_wraps(capacity, occupied, k):
+    sampler = stored_sampler(capacity, occupied, k)
+    for seed in range(5):
+        batch = sampler.sample(k, rng=np.random.default_rng(seed))
+        slots, probs = sampler._draw(k, np.random.default_rng(seed))
+        assert (slots, probs) == (batch.indices, batch.probabilities.tolist())
+
+
+@pytest.mark.parametrize("capacity, occupied, k", DRAW_CASES)
+def test_a_draw_touches_two_nodes_per_level_per_stratum(capacity, occupied, k):
+    sampler = stored_sampler(capacity, occupied, k)
+    tree = sampler.tree
+    for draw in (sampler._draw, sampler.sample):
+        sampler.update_priority(0, 0.5)  # a pending write, settled inside the draw
+        before = tree.node_touches
+        draw(k, np.random.default_rng(0))
+        assert tree.node_touches - before == 2 * tree.levels * k
+
+
+class LastStratumTop:
+    """Generator stub whose last stratum draws the largest double below 1."""
+
+    def random(self, k):
+        return np.array([0.5] * (k - 1) + [1.0 - 2.0**-53])
+
+
+def test_a_stratum_end_rounding_onto_the_total_lands_on_the_last_leaf_with_mass():
+    sampler = stored_sampler(37, 5, 16)
+    assert (15 + (1.0 - 2.0**-53)) / 16 == 1.0  # the value rounds onto the total
+    slots, probs = sampler._draw(16, LastStratumTop())
+    assert slots[-1] == 4 and probs[-1] > 0.0
+    assert sampler.sample(16, rng=LastStratumTop()).indices == slots

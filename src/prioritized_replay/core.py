@@ -25,6 +25,11 @@ DEFAULT_EPSILON = 1e-6
 # insertion uses the running maximum of all priorities assigned so far.
 INITIAL_PRIORITY = 1.0
 
+# Values per chunk of a bulk draw (find_many, _draw_ranks): a chunk's buffers,
+# 128 KiB each, stay in L2. On a 2-vCPU AVX-512 x86 host, 10^6-value draws ran
+# fastest at 2^14 to 2^16, about 1.5x slower unchunked and 2x slower at 2^10.
+_BULK_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -224,6 +229,17 @@ class PrioritizedMemory:
         self._assign_priority(slot, priority, True)
         if priority > self._max_priority:
             self._max_priority = priority
+
+    def _rng_for(self, k: int, batches: int, rng: np.random.Generator | None) -> np.random.Generator:
+        """``rng``, or the memory's own, for ``batches`` minibatches of ``k``:
+        the one check of both counts and of an empty memory, before any draw."""
+        if k < 1:
+            raise ValueError("minibatch size must be positive")
+        if batches < 1:
+            raise ValueError("batch count must be positive")
+        if self._size == 0:
+            raise ValueError("cannot sample from an empty memory")
+        return self._rng if rng is None else rng
 
     def _check_occupied(self, slot: int) -> None:
         if not self.is_occupied(slot):

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_count, _check_nonnegative
+from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig
+from .core import _check_count, _check_nonnegative
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
 
@@ -270,11 +271,7 @@ class RankSampler(PrioritizedMemory):
 
     def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
         k = self.config.minibatch if k is None else k
-        if k < 1:
-            raise ValueError("minibatch size must be positive")
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty memory")
-        slots, probs = self._draw(k, self._rng if rng is None else rng)
+        slots, probs = self._draw(k, self._rng_for(k, 1, rng))
         return SampledBatch(
             indices=slots, probabilities=probs, transitions=[self._transitions[s] for s in slots]
         )
@@ -284,12 +281,12 @@ class RankSampler(PrioritizedMemory):
         non-empty memory, unchecked: what :meth:`sample` wraps."""
         knots = self.partition_for(k).cumulative
         pieces = self._pieces
-        last_piece, last_rank = len(pieces) - 1, self._size - 1
+        last_piece = len(pieces) - 1
         heap_slots = self.heap._slots
         # _draw_ranks' arithmetic in the same order, on Python scalars (numpy's
         # per-call overhead on k-element arrays, and min()'s, cost more than
-        # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative;
-        # u can round to 1.0 (piece `segments`), and ranks clamp to the live count
+        # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative; u can
+        # round to 1.0 (piece `segments`). No partition outgrows the memory, so no rank clamp
         slots, probs = [], []
         for j, r in enumerate(rng.random(k).tolist()):
             u = (j + r) / k
@@ -297,36 +294,48 @@ class RankSampler(PrioritizedMemory):
             lo, count, knot, span = pieces[piece if piece < last_piece else last_piece]
             offset = int((u - knot) / span * count)
             rank = lo + (offset if offset < count else count - 1)
-            slots.append(heap_slots[rank if rank < last_rank else last_rank])
+            slots.append(heap_slots[rank])
             probs.append(span / count)
         return slots, probs
 
     def sample_many(
         self, k: int, batches: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        """Draw ``batches`` stratified minibatches at once; returns a (batches, k) slot array."""
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty memory")
-        rng = self._rng if rng is None else rng
+        """Draw ``batches`` stratified minibatches at once; returns a (batches, k) slot array.
+
+        It draws what ``batches`` :meth:`sample` calls on ``rng`` draw."""
+        rng = self._rng_for(k, batches, rng)
         ranks, _ = self._draw_ranks(batches * k, rng, strata=k)
         return self.heap.slots_array()[ranks].reshape(batches, k)
 
     def _draw_ranks(
         self, count: int, rng: np.random.Generator, strata: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """0-based rank positions and their probabilities for ``count`` draws."""
-        part = self.partition_for(strata)
-        boundaries = np.asarray(part.boundaries, dtype=np.int64)
-        knots = np.asarray(part.cumulative, dtype=np.float64)
-        offsets = np.tile(np.arange(strata, dtype=np.float64), count // strata)
-        u = (offsets + rng.random(count)) / strata
-        piece = np.searchsorted(knots, u, side="right") - 1
-        np.clip(piece, 0, part.segments - 1, out=piece)
-        lo, hi = boundaries[piece], boundaries[piece + 1]
-        counts = hi - lo
-        span = knots[piece + 1] - knots[piece]
-        fraction = (u - knots[piece]) / span
-        ranks = lo + np.minimum((fraction * counts).astype(np.int64), counts - 1)
-        np.clip(ranks, 0, self._size - 1, out=ranks)
-        probs = (knots[piece + 1] - knots[piece]) / counts
+        """0-based rank positions and their probabilities for ``count`` draws in
+        minibatches of ``strata``, by :meth:`_draw`'s arithmetic in its order, in
+        chunks of whole minibatches (about ``_BULK_CHUNK`` draws) in place."""
+        knots = np.asarray(self.partition_for(strata).cumulative)
+        lo, counts, knot, span = (np.array(column) for column in zip(*self._pieces))
+        top, prob, counts = lo + counts - 1, span / counts, counts.astype(np.float64)
+        ranks, probs = np.empty(count, dtype=np.int64), np.empty(count)
+        step = max(_BULK_CHUNK // strata, 1) * strata
+        u_buf, f_buf = np.empty((2, min(count, step)))
+        i_buf = np.empty(u_buf.size, dtype=np.int64)
+        for start in range(0, count, step):
+            rank = ranks[start : start + step]
+            u, f, i = u_buf[: rank.size], f_buf[: rank.size], i_buf[: rank.size]
+            rng.random(out=u)
+            np.add(u.reshape(-1, strata), np.arange(strata, dtype=np.float64), out=u.reshape(-1, strata))
+            u /= strata
+            # u >= knots[0] = 0 keeps the piece nonnegative; u can round to
+            # 1.0 (piece `segments`), which mode="clip" reads as the last piece
+            piece = np.searchsorted(knots, u, side="right")
+            piece -= 1
+            u -= np.take(knot, piece, out=f, mode="clip")
+            u /= np.take(span, piece, out=f, mode="clip")
+            u *= np.take(counts, piece, out=f, mode="clip")
+            rank[:] = u  # truncates, as astype(int64) does
+            rank += np.take(lo, piece, out=i, mode="clip")
+            np.minimum(rank, np.take(top, piece, out=i, mode="clip"), out=rank)
+            np.take(prob, piece, out=probs[start : start + rank.size], mode="clip")
         return ranks, probs

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .core import PrioritizedMemory, SampledBatch, SamplerConfig, _check_count, _check_nonnegative
+from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig
+from .core import _check_count, _check_nonnegative
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -77,6 +78,15 @@ class SumTree:
             self._settle()
         return float(self._nodes[0])
 
+    def _mass(self) -> float:
+        """:attr:`total`, refused unless positive and finite; a finite root keeps every sum finite."""
+        total = self.total
+        if total <= 0.0:
+            raise ValueError("tree holds no positive mass")
+        if total == math.inf:
+            raise ValueError("tree total overflows to inf")
+        return total
+
     def leaf(self, index: int) -> float:
         if not 0 <= index < self.capacity:
             raise IndexError(f"leaf index {index} out of range for capacity {self.capacity}")
@@ -128,9 +138,7 @@ class SumTree:
         otherwise subtracts that sum and descends right, so a value exactly on
         a boundary belongs to the right neighbor.
         """
-        total = self.total
-        if total <= 0.0:
-            raise ValueError("tree holds no positive mass")
+        total = self._mass()
         if not 0.0 <= value < total:
             raise ValueError(f"value {value!r} outside [0, {total!r})")
         return self._descend([value])[0]
@@ -158,23 +166,36 @@ class SumTree:
         return leaves
 
     def find_many(self, values) -> np.ndarray:
-        """Vectorized :meth:`find_by_value` for an array of query values."""
-        v = np.asarray(values, dtype=np.float64).copy()
-        nodes = self.nodes
-        total = nodes[0]
-        if total <= 0.0:
-            raise ValueError("tree holds no positive mass")
-        if v.size and (v.min() < 0.0 or v.max() >= total):
+        """Vectorized :meth:`find_by_value` over an array of queries, in its shape.
+
+        Chunks of ``_BULK_CHUNK`` queries descend in place in buffers made once per
+        call. A level steps right on ``r = value >= left_sum`` and subtracts
+        ``left_sum * r``: bit for bit the scalar walk, as every sum is finite."""
+        v = np.asarray(values, dtype=np.float64)
+        total = self._mass()
+        # NaN fails both comparisons, so a NaN query is rejected too
+        if v.size and not (v.min() >= 0.0 and v.max() < total):
             raise ValueError("query values must lie in [0, total)")
-        pos = np.zeros(v.shape, dtype=np.int64)
-        for _ in range(self.levels):
-            left = 2 * pos + 1
-            left_sum = nodes[left]
-            go_left = v < left_sum
-            v = np.where(go_left, v, v - left_sum)
-            pos = np.where(go_left, left, left + 1)
+        queries, found = v.reshape(-1), np.empty(v.size, dtype=np.int64)
+        value_buf, sum_buf = np.empty((2, min(v.size, _BULK_CHUNK)))
+        right_buf = np.empty(sum_buf.size, dtype=bool)
+        for start in range(0, v.size, _BULK_CHUNK):
+            node = found[start : start + _BULK_CHUNK]
+            value, left_sum, right = value_buf[: node.size], sum_buf[: node.size], right_buf[: node.size]
+            value[:] = queries[start : start + node.size]
+            node.fill(0)
+            for _ in range(self.levels):
+                node *= 2
+                node += 1
+                # every node is in range; "clip" only skips the checked copy
+                np.take(self._nodes, node, out=left_sum, mode="clip")
+                np.greater_equal(value, left_sum, out=right)
+                left_sum *= right
+                value -= left_sum
+                node += right
+            node -= self.capacity - 1
         self.node_touches += 2 * self.levels * v.size
-        return pos - (self.capacity - 1)
+        return found.reshape(v.shape)
 
     def rebuild(self) -> None:
         """Recompute every internal node from the leaves: clears any drift and settles every pending write."""
@@ -244,11 +265,7 @@ class ProportionalSampler(PrioritizedMemory):
 
     def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
         k = self.config.minibatch if k is None else k
-        if k < 1:
-            raise ValueError("minibatch size must be positive")
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty memory")
-        slots, probs = self._draw(k, self._rng if rng is None else rng)
+        slots, probs = self._draw(k, self._rng_for(k, 1, rng))
         return SampledBatch(
             indices=slots, probabilities=probs, transitions=[self._transitions[i] for i in slots]
         )
@@ -257,9 +274,7 @@ class ProportionalSampler(PrioritizedMemory):
         """Slots and probabilities of one stratified minibatch of ``k`` from a
         non-empty memory, unchecked: what :meth:`sample` wraps."""
         tree = self.tree
-        total = tree.total
-        if total <= 0.0:
-            raise ValueError("tree holds no positive mass")
+        total = tree._mass()
         top = math.nextafter(total, 0.0)
         # one draw per stratum, with sample_many's arithmetic in the same order,
         # so both paths pick the same slots from the same generator state (a
@@ -277,14 +292,14 @@ class ProportionalSampler(PrioritizedMemory):
 
         Bulk variant used by distribution validators; the memory must not
         change between batches for the result to be a faithful sample of the
-        current distribution.
+        current distribution. It draws what ``batches`` :meth:`sample` calls on ``rng`` draw.
         """
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty memory")
-        rng = self._rng if rng is None else rng
-        total = self.tree.total
-        offsets = np.tile(np.arange(k, dtype=np.float64), batches)
-        values = (offsets + rng.random(batches * k)) / k * total
+        rng = self._rng_for(k, batches, rng)
+        total = self.tree._mass()
+        values = rng.random((batches, k))
+        values += np.arange(k, dtype=np.float64)
+        values /= k
+        values *= total
         # guard against the stratum endpoint rounding up onto the total
         np.minimum(values, np.nextafter(total, 0.0), out=values)
-        return self.tree.find_many(values).reshape(batches, k)
+        return self.tree.find_many(values)

@@ -279,6 +279,21 @@ def test_sample_empty_memory_raises(sampler_cls):
         sampler.sample(2)
 
 
+@pytest.mark.parametrize(
+    "k, batches, message",
+    [(0, 5, "minibatch size"), (-1, 3, "minibatch size"), (4, 0, "batch count"), (4, -2, "batch count")],
+)
+def test_sample_many_rejects_a_bad_count_before_drawing(sampler_cls, k, batches, message):
+    sampler = make_sampler(sampler_cls)
+    for _ in range(8):
+        sampler.store(TERMINAL)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{message} must be positive"):
+        sampler.sample_many(k, batches, rng=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_underfull_memory_samples_with_replacement(sampler_cls):
     sampler = make_sampler(sampler_cls, capacity=16, minibatch=8)
     sampler.store(TERMINAL)
@@ -417,6 +432,9 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                 else:
                     sampler.set_alpha(alpha)
             assert len(sampler) == sum(p is not None for p in model)
+            if cls is RankSampler and sampler._partition is not None:
+                # the draws index ranks without clamping them to the live count
+                assert sampler._partition.size <= len(sampler)
             assert sampler.max_priority == top
             assert sampler.alpha == alpha
             for slot, priority in enumerate(model):

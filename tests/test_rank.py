@@ -11,6 +11,7 @@ from prioritized_replay import (
     build_partition,
     sampling_probabilities,
 )
+from prioritized_replay.core import _BULK_CHUNK
 
 TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
@@ -432,6 +433,23 @@ def test_sample_draws_what_sample_many_draws_after_set_alpha():
     assert_sample_matches_the_bulk_path(sampler, 16)
 
 
+# b minibatches of k whose b * k draws end just below, at and just past one
+# bulk chunk, and, for a k that does not divide the chunk, span several
+CHUNK_CASES = [(k, _BULK_CHUNK // k + d) for k in (1, 7, 16, 32) for d in (-1, 0, 1)] + [(7, 3 * _BULK_CHUNK // 7 + 5)]
+
+
+@pytest.mark.parametrize("k, batches", CHUNK_CASES)
+def test_sample_many_draws_what_successive_samples_draw(k, batches):
+    sampler = stored_sampler(300, minibatch=k)
+    rng = np.random.default_rng(4)
+    samples = [sampler.sample(k, rng=rng) for _ in range(batches)]
+    bulk_rng = np.random.default_rng(4)
+    assert sampler.sample_many(k, batches, rng=bulk_rng).tolist() == [batch.indices for batch in samples]
+    assert bulk_rng.bit_generator.state == rng.bit_generator.state
+    _, probs = sampler._draw_ranks(batches * k, np.random.default_rng(4), strata=k)
+    assert np.array_equal(probs.reshape(batches, k), [batch.probabilities for batch in samples])
+
+
 def assert_draw_is_what_sample_wraps(sampler, k):
     for seed in range(5):
         batch = sampler.sample(k, rng=np.random.default_rng(seed))
@@ -474,3 +492,26 @@ def test_a_stratum_end_rounding_to_one_draws_from_the_last_piece(size, capacity)
     assert part.boundaries[-2] < sampler.heap.rank_of(slots[-1]) <= min(part.size, size)
     assert probs[-1] == part.segment_masses()[-1] / part.segment_counts()[-1]
     assert sampler.sample(16, rng=LastStratumTop()).indices == slots
+
+
+class EveryStratumTop:
+    """Generator stub drawing the largest double below 1 for every stratum,
+    one minibatch (``random(k)``) or a bulk buffer (``random(out=...)``) at a time."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out.fill(1.0 - 2.0**-53)
+        return out
+
+
+@pytest.mark.parametrize("size, capacity", [(100, 100), (109, 200)])
+def test_the_bulk_path_draws_stratum_ends_as_the_draw_does(size, capacity):
+    """Each stratum's end lies on or just below the next stratum's start, and
+    the last one rounds to 1.0, past the last knot."""
+    sampler = stored_sampler(100, capacity=capacity)
+    for _ in range(size - 100):
+        sampler.store(TERMINAL)
+    slots, probs = sampler._draw(16, EveryStratumTop())
+    assert sampler.sample_many(16, 3, rng=EveryStratumTop()).tolist() == [slots] * 3
+    assert sampler._draw_ranks(48, EveryStratumTop(), strata=16)[1].tolist() == probs * 3

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from prioritized_replay import ProportionalSampler, SamplerConfig, SumTree, Transition, sampling_probabilities
+from prioritized_replay.core import _BULK_CHUNK
 
 TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
@@ -174,6 +175,9 @@ def test_find_rejects_out_of_range_and_empty():
     empty = SumTree(4)
     with pytest.raises(ValueError):
         empty.find_by_value(0.0)
+    for bad in ([-0.1], [10.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="query values"):
+            tree.find_many(bad)
 
 
 def test_find_many_matches_scalar_find():
@@ -212,6 +216,39 @@ def test_operation_touch_counts_are_logarithmic():
     before = tree.node_touches
     tree.find_many(np.full(5, 0.25))
     assert tree.node_touches - before <= 5 * bound
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (6, 5), (2, _BULK_CHUNK + 3)])
+def test_find_many_keeps_the_query_shape_and_charges_two_nodes_per_level(shape):
+    rng = np.random.default_rng(2)
+    tree = filled_tree(rng.uniform(0, 3, 37))
+    queries = np.minimum(rng.uniform(0, tree.total, shape), np.nextafter(tree.total, 0))
+    before = tree.node_touches
+    found = tree.find_many(queries)
+    assert (found.shape, found.dtype) == (shape, np.int64)
+    assert tree.node_touches - before == 2 * tree.levels * queries.size
+    assert found.ravel().tolist() == [tree.find_by_value(q) for q in queries.ravel().tolist()]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowed_total_is_rejected():
+    """Two priorities of 1e308 at alpha = 1 sum to inf at the root: every
+    descent refuses the tree rather than drawing from it."""
+    sampler = prepared_sampler([1e308, 1e308], alpha=1.0)
+    tree = sampler.tree
+    assert tree.total == np.inf
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for descend in (
+        lambda: tree.find_by_value(1.0),
+        lambda: tree.find_many([1.0]),
+        lambda: sampler._draw(4, rng),
+        lambda: sampler.sample(4, rng=rng),
+        lambda: sampler.sample_many(4, 3, rng=rng),
+    ):
+        with pytest.raises(ValueError, match="overflows"):
+            descend()
+    assert rng.bit_generator.state == before
 
 
 def test_rebuild_repairs_corruption():
@@ -347,6 +384,20 @@ def test_sample_draws_what_sample_many_draws(capacity, occupied, k):
         bulk = sampler.sample_many(k, 1, rng=np.random.default_rng(seed))[0]
         assert batch.indices == bulk.tolist()
         assert np.array_equal(batch.probabilities, sampler.tree.nodes[offset + bulk] / sampler.tree.total)
+
+
+# b minibatches of k whose b * k values end just below, at and just past one
+# bulk chunk, and, for a k that does not divide the chunk, span several
+CHUNK_CASES = [(k, _BULK_CHUNK // k + d) for k in (1, 7, 16, 32) for d in (-1, 0, 1)] + [(7, 3 * _BULK_CHUNK // 7 + 5)]
+
+
+@pytest.mark.parametrize("k, batches", CHUNK_CASES)
+def test_sample_many_draws_what_successive_samples_draw(k, batches):
+    sampler = stored_sampler(1000, 700, k)
+    rng, bulk_rng = np.random.default_rng(4), np.random.default_rng(4)
+    bulk = sampler.sample_many(k, batches, rng=bulk_rng)
+    assert bulk.tolist() == [sampler.sample(k, rng=rng).indices for _ in range(batches)]
+    assert bulk_rng.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("capacity, occupied, k", DRAW_CASES)

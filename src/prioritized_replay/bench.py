@@ -18,6 +18,7 @@ import csv
 import os
 import statistics
 from dataclasses import dataclass, fields
+from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -96,12 +97,17 @@ class SweepConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepConfigError(f"seeds must be distinct, got {self.seeds}")
         # every other value is checked by the RunConfig each cell would run;
-        # the grid is non-empty, so none goes unchecked
+        # the grid is non-empty, so none goes unchecked. Each seed is checked
+        # once, after the first cell, where a RunConfig per seed would meet it
         try:
             if self.jobs is not None:
                 _check_count("jobs", self.jobs)
-            for cell in expand_runs(self):
-                _run_config(self, cell)
+            cells = list(product(self.sizes, self.strategies, self.representations))
+            _run_config(self, SweepCell(*cells[0], self.seeds[0]))
+            for seed in self.seeds[1:]:
+                _check_count("seed", seed, 0)
+            for cell in cells[1:]:
+                _run_config(self, SweepCell(*cell, self.seeds[0]))
         except ValueError as error:
             raise SweepConfigError(str(error)) from None
 
@@ -349,9 +355,21 @@ def _dummy_transitions(count: int) -> list[Transition]:
     return [Transition(0, 0, 0.0, 0.0, 0, is_terminal=True) for _ in range(count)]
 
 
-def _total_variation(counts: np.ndarray, target: np.ndarray) -> float:
-    freq = counts / counts.sum()
-    return float(0.5 * np.abs(freq - target).sum())
+def _distribution_check(name: str, sampler, target, rng, draws: int, threshold: float) -> CheckResult:
+    """Total-variation distance between ``target`` and the frequencies of
+    stratified minibatches of one slot per entry of a full ``sampler``."""
+    size = len(sampler)
+    batches = draws // size
+    slots = sampler.sample_many(size, batches, rng=rng)
+    counts = np.bincount(slots.ravel(), minlength=size).astype(float)
+    tv = float(0.5 * np.abs(counts / counts.sum() - target).sum())
+    return CheckResult(
+        name=name,
+        measured=tv,
+        threshold=threshold,
+        passed=tv < threshold,
+        detail=f"{batches * size} draws, total-variation distance",
+    )
 
 
 def check_sumtree_distribution(
@@ -368,17 +386,7 @@ def check_sumtree_distribution(
         sampler.store(t)
         sampler.update_priority(i, priorities[i] - sampler.config.epsilon)
     target = sampling_probabilities(priorities, alpha)
-    batches = draws // size
-    slots = sampler.sample_many(size, batches, rng=rng)
-    counts = np.bincount(slots.ravel(), minlength=size).astype(float)
-    tv = _total_variation(counts, target)
-    return CheckResult(
-        name=f"sum-tree stratified sampling, alpha={alpha}",
-        measured=tv,
-        threshold=threshold,
-        passed=tv < threshold,
-        detail=f"{batches * size} draws, total-variation distance",
-    )
+    return _distribution_check(f"sum-tree stratified sampling, alpha={alpha}", sampler, target, rng, draws, threshold)
 
 
 def check_rank_distribution(
@@ -397,23 +405,13 @@ def check_rank_distribution(
     for i, t in enumerate(_dummy_transitions(size)):
         sampler.store(t)
         sampler.update_priority(i, priorities[i])
-    sampler.full_sort()
+    sampler.heap.sort()
     order = sorted(range(size), key=lambda i: (-priorities[i], i))
     ranks = np.empty(size, dtype=np.int64)
     for rank_index, slot in enumerate(order):
         ranks[slot] = rank_index + 1
     target = sampling_probabilities(1.0 / ranks, alpha)
-    batches = draws // size
-    slots = sampler.sample_many(size, batches, rng=rng)
-    counts = np.bincount(slots.ravel(), minlength=size).astype(float)
-    tv = _total_variation(counts, target)
-    return CheckResult(
-        name=f"rank stratified sampling, alpha={alpha}",
-        measured=tv,
-        threshold=threshold,
-        passed=tv < threshold,
-        detail=f"{batches * size} draws, total-variation distance",
-    )
+    return _distribution_check(f"rank stratified sampling, alpha={alpha}", sampler, target, rng, draws, threshold)
 
 
 def check_tree_conservation(

@@ -179,20 +179,9 @@ class PrioritizedMemory:
         return self._size
 
     @property
-    def capacity(self) -> int:
-        return self.config.capacity
-
-    @property
     def max_priority(self) -> float:
         """Running maximum priority; what the next stored transition receives."""
         return self._max_priority
-
-    def is_occupied(self, slot: int) -> bool:
-        return 0 <= slot < self.config.capacity and self._transitions[slot] is not None
-
-    def transition(self, slot: int) -> Transition:
-        self._check_occupied(slot)
-        return self._transitions[slot]  # type: ignore[return-value]
 
     def store(self, transition: Transition) -> int:
         """Insert ``transition`` at the next window slot and return its slot id."""
@@ -211,21 +200,12 @@ class PrioritizedMemory:
 
         A NaN or infinite ``td_error`` raises ValueError and changes nothing.
         """
-        # is_occupied's test, inline: this runs once per replayed transition
+        # _check_occupied's test, inline: this runs once per replayed transition
         if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
             raise KeyError(f"slot {slot} is not occupied")
         if not math.isfinite(td_error):
             raise ValueError(f"td_error must be finite, got {td_error!r}")
         priority = td_magnitude(td_error, self.config.clip_td) + self._epsilon
-        self._assign_priority(slot, priority, True)
-        if priority > self._max_priority:
-            self._max_priority = priority
-
-    def set_priority(self, slot: int, priority: float) -> None:
-        """Directly assign a priority, bypassing the TD-error mapping."""
-        self._check_occupied(slot)
-        if not (priority > 0.0 and math.isfinite(priority)):
-            raise ValueError(f"priorities must be positive and finite, got {priority!r}")
         self._assign_priority(slot, priority, True)
         if priority > self._max_priority:
             self._max_priority = priority
@@ -242,7 +222,7 @@ class PrioritizedMemory:
         return self._rng if rng is None else rng
 
     def _check_occupied(self, slot: int) -> None:
-        if not self.is_occupied(slot):
+        if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
             raise KeyError(f"slot {slot} is not occupied")
 
     # -- subclass surface ---------------------------------------------------

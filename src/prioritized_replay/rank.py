@@ -55,13 +55,6 @@ class RankStore:
     def key_of(self, slot: int) -> float:
         return self._keys[self._pos[slot]]
 
-    def slot_at(self, position: int) -> int:
-        return self._slots[position]
-
-    def rank_of(self, slot: int) -> int:
-        """1-based rank approximated by the slot's current heap position."""
-        return self._pos[slot] + 1
-
     def keys(self) -> list[float]:
         return list(self._keys)
 
@@ -157,9 +150,6 @@ class Partition:
     alpha: float
     segments: int
 
-    def segment_counts(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries, dtype=np.int64))
-
     def segment_masses(self) -> np.ndarray:
         return np.diff(np.asarray(self.cumulative, dtype=np.float64))
 
@@ -225,16 +215,6 @@ class RankSampler(PrioritizedMemory):
         # (first rank, rank count, cumulative mass at start, mass) per segment
         self._pieces: list[tuple[int, int, float, float]] = []
 
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
-    def set_alpha(self, alpha: float) -> None:
-        """Change the prioritization exponent; the partition rebuilds lazily."""
-        _check_nonnegative("alpha", alpha)
-        self._alpha = alpha
-        self._partition = None
-
     def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
         if occupied:
             self.heap.update(slot, priority)
@@ -245,12 +225,8 @@ class RankSampler(PrioritizedMemory):
         self._check_occupied(slot)
         return self.heap.key_of(slot)
 
-    def full_sort(self) -> None:
-        """Restore exact rank order (delegates to the heap's full sort)."""
-        self.heap.sort()
-
     def partition_for(self, k: int | None = None) -> Partition:
-        """Current partition, rebuilt only when (size, alpha, segments) drifts."""
+        """Current partition, rebuilt only when (size, segments) drifts."""
         n = self._size
         if n == 0:
             raise ValueError("cannot partition an empty memory")
@@ -259,7 +235,6 @@ class RankSampler(PrioritizedMemory):
         p = self._partition
         if (
             p is None
-            or p.alpha != self._alpha
             or p.segments != segments
             or abs(n - p.size) > PARTITION_REUSE_TOLERANCE * p.size
         ):

@@ -12,11 +12,11 @@ one root-to-leaf path, so it costs O(log capacity).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig
-from .core import _check_count, _check_nonnegative
+from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig, _check_count
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -37,7 +37,7 @@ class SumTree:
     therefore write to the array: they fall under the single-writer rule.
     """
 
-    __slots__ = ("capacity", "levels", "node_touches", "_nodes", "_stale", "_crossover")
+    __slots__ = ("capacity", "levels", "node_touches", "_nodes", "_stale", "_crossover", "_max_leaf")
 
     def __init__(self, capacity: int):
         _check_count("capacity", capacity)
@@ -55,6 +55,10 @@ class SumTree:
         # on a 2-vCPU x86 host over capacities 2^9 to 2^18 and batches of 16
         # to 36 leaves)
         self._crossover = 5 + cap // (200 * max(self.levels, 1))
+        # the largest leaf value: a power-of-two share of the float maximum,
+        # so every node stays at or below its subtree's share, rounding
+        # included, and no sum overflows to inf
+        self._max_leaf = sys.float_info.max / cap
 
     @property
     def nodes(self) -> np.ndarray:
@@ -62,14 +66,6 @@ class SumTree:
         if self._stale:
             self._settle()
         return self._nodes
-
-    @nodes.setter
-    def nodes(self, array: np.ndarray) -> None:
-        # the old array gets its pending sums first, as if each write had
-        # refreshed it at once; the new one is taken as it is
-        if self._stale:
-            self._settle()
-        self._nodes = array
 
     @property
     def total(self) -> float:
@@ -87,21 +83,14 @@ class SumTree:
             raise ValueError("tree total overflows to inf")
         return total
 
-    def leaf(self, index: int) -> float:
-        if not 0 <= index < self.capacity:
-            raise IndexError(f"leaf index {index} out of range for capacity {self.capacity}")
-        return float(self._nodes[self.capacity - 1 + index])
-
-    def leaves(self) -> np.ndarray:
-        return self._nodes[self.capacity - 1 :].copy()
-
     def set_leaf(self, index: int, value: float) -> None:
         """Write ``value`` at a leaf; its ancestors refresh at the next read."""
         if not 0 <= index < self.capacity:
             raise IndexError(f"leaf index {index} out of range for capacity {self.capacity}")
         value = float(value)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError("leaf values must be nonnegative and finite")
+        # NaN and inf fail the comparison too
+        if not 0.0 <= value <= self._max_leaf:
+            raise ValueError(f"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}")
         node = self.capacity - 1 + index
         self._nodes[node] = value
         stale = self._stale
@@ -219,9 +208,7 @@ class ProportionalSampler(PrioritizedMemory):
     """Replay memory sampling slot i with probability (|td_i| + eps)**alpha / total.
 
     The exponent is folded in at write time: leaves store priority**alpha, so
-    the tree root is directly the normalizer. Changing alpha therefore
-    requires :meth:`rebuild`, which recomputes every leaf from the raw
-    priorities.
+    the tree root is directly the normalizer. Alpha is fixed by the config.
 
     Minibatches are stratified: total mass splits into k equal ranges and one
     value is drawn uniformly from each, which reproduces the target
@@ -237,31 +224,19 @@ class ProportionalSampler(PrioritizedMemory):
         self._epsilon = config.epsilon
         self._raw = np.zeros(self.tree.capacity, dtype=np.float64)
 
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
     def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
+        try:
+            leaf = priority**self._alpha
+        except OverflowError:
+            raise ValueError(f"priority {priority!r} ** alpha overflows") from None
         # the tree validates the leaf, so write it first: a rejected write
         # leaves the raw priority untouched too
-        self.tree.set_leaf(slot, priority**self._alpha)
+        self.tree.set_leaf(slot, leaf)
         self._raw[slot] = priority
 
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)
         return float(self._raw[slot])
-
-    def rebuild(self, alpha: float | None = None) -> None:
-        """Rewrite every leaf as priority**alpha and rebuild the internal sums."""
-        if alpha is not None:
-            _check_nonnegative("alpha", alpha)
-            self._alpha = alpha
-        # the scalar power, as every per-call write uses: numpy's vectorized
-        # power can differ from it in the last bit
-        alpha = self._alpha
-        leaves = [raw**alpha if raw > 0.0 else 0.0 for raw in self._raw.tolist()]
-        self.tree.nodes[self.tree.capacity - 1 :] = leaves
-        self.tree.rebuild()
 
     def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
         k = self.config.minibatch if k is None else k

@@ -1,10 +1,11 @@
-"""Reference value model for the cliff walk, used only by the tests.
+"""Reference models used only by the tests.
 
 The library's replay loops keep the values as 2n cell values plus a shared
 bias scalar and update them inline. This object model computes the same
 values one transition at a time from a parameter vector, so a run's recorded
 updates can be replayed through it and compared, and the hindsight oracle's
-pick can be found by brute force.
+pick can be found by brute force. ``leaves`` reads a sum tree's leaves from
+its public array.
 """
 
 import numpy as np
@@ -69,3 +70,8 @@ def oracle_select(transitions, q: LinearQ, truth: np.ndarray) -> int:
             best_mse = mse
             best_slot = slot
     return best_slot
+
+
+def leaves(tree) -> np.ndarray:
+    """A sum tree's leaf values: the last ``capacity`` entries of its settled array."""
+    return tree.nodes[tree.capacity - 1 :]

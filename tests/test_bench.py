@@ -95,7 +95,7 @@ def test_config_validation():
         dict(jobs=0),
         dict(jobs=-1),
         dict(jobs=1.5),
-        # every seed reaches a RunConfig, not only the first
+        # every seed is checked, not only the first
         dict(seeds=(1, -1)),
     ):
         with pytest.raises(SweepConfigError):
@@ -110,6 +110,22 @@ def test_an_empty_grid_is_rejected():
     for axis in ("sizes", "strategies", "representations", "seeds"):
         with pytest.raises(SweepConfigError, match=axis):
             SweepConfig(**{axis: ()}, budget=0)
+
+
+def test_a_sweep_config_builds_one_run_config_per_cell_not_per_seed(monkeypatch):
+    """Validation costs O(cells + seeds): each (size, strategy,
+    representation) builds one RunConfig, and each seed is checked once."""
+    import prioritized_replay.bench as bench
+
+    built, original = [], bench.RunConfig
+    monkeypatch.setattr(bench, "RunConfig", lambda **kwargs: built.append(kwargs) or original(**kwargs))
+    SweepConfig(sizes=(2, 3), strategies=("uniform", "greedy_td"), seeds=tuple(range(50)))
+    assert len(built) == 2 * 2 * 2
+    for position in (0, 1, 25, 49):
+        seeds = list(range(50))
+        seeds[position] = -1
+        with pytest.raises(SweepConfigError, match="seed"):
+            SweepConfig(sizes=(2, 3), seeds=tuple(seeds))
 
 
 # -- config files ---------------------------------------------------------------

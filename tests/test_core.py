@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import leaves
 
 from prioritized_replay import (
     AnnealSchedule,
@@ -209,7 +210,9 @@ def test_sliding_window_reuses_oldest_slot(sampler_cls):
     slot = sampler.store(marked)
     assert slot == 0
     assert len(sampler) == 4
-    assert sampler.transition(0) is marked
+    batch = sampler.sample(4)
+    assert 0 in batch.indices
+    assert all((transition is marked) == (slot == 0) for slot, transition in zip(batch.indices, batch.transitions))
 
 
 def test_update_priority_examples(sampler_cls):
@@ -261,14 +264,11 @@ def test_non_finite_priority_is_rejected_without_changing_state(sampler_cls, bad
     before = (sampler.priority(1), sampler.max_priority, len(sampler))
     with pytest.raises(ValueError):
         sampler.update_priority(1, bad)
-    with pytest.raises(ValueError):
-        sampler.set_priority(1, abs(bad))
     assert (sampler.priority(1), sampler.max_priority, len(sampler)) == before
     slot = sampler.store(TERMINAL)
     assert sampler.priority(slot) == before[1]
     if sampler_cls is ProportionalSampler:
-        leaves = sampler.tree.leaves()
-        assert sampler.tree.total == pytest.approx(leaves.sum())
+        assert sampler.tree.total == pytest.approx(leaves(sampler.tree).sum())
     else:
         assert sampler.heap.heap_ordered()
 
@@ -306,15 +306,15 @@ def test_underfull_memory_samples_with_replacement(sampler_cls):
 def test_probabilities_in_unit_interval_and_transitions_match(sampler_cls):
     sampler = make_sampler(sampler_cls, capacity=16, minibatch=8)
     rng = np.random.default_rng(5)
-    for _ in range(16):
-        sampler.store(TERMINAL)
+    for state in range(16):
+        sampler.store(Transition(state, 0, 0.0, 0.0, 0, is_terminal=True))
     for i in range(16):
         sampler.update_priority(i, rng.uniform(0.01, 2.0))
     batch = sampler.sample()
     assert len(batch) == 8
     assert np.all(batch.probabilities > 0) and np.all(batch.probabilities <= 1)
     for slot, transition in zip(batch.indices, batch.transitions):
-        assert sampler.transition(slot) is transition
+        assert transition.prev_state == slot
 
 
 @settings(max_examples=30, deadline=None)
@@ -346,19 +346,10 @@ def test_bad_alpha_is_rejected_without_changing_state(sampler_cls, bad):
         sampler.store(TERMINAL)
     for slot in range(6):
         sampler.update_priority(slot, 0.3 * slot)
-    if sampler_cls is ProportionalSampler:
-        before = sampler.tree.nodes.copy()
-        with pytest.raises(ValueError):
-            sampler.rebuild(alpha=bad)
-        assert sampler.tree.nodes.tobytes() == before.tobytes()
-    else:
-        partition = sampler.partition_for()
-        with pytest.raises(ValueError):
-            sampler.set_alpha(bad)
-        assert sampler.partition_for() is partition
+    partition = build_partition(8, 0.7, 2)
     with pytest.raises(ValueError):
         build_partition(8, bad, 2)
-    assert sampler.alpha == 0.7
+    assert build_partition(8, 0.7, 2) is partition
     assert len(sampler.sample(4)) == 4
 
 
@@ -376,9 +367,7 @@ PICKS = st.integers(0, 99)
 OPERATIONS = st.one_of(
     st.tuples(st.just("store")),
     st.tuples(st.just("update"), PICKS, st.floats(-5.0, 5.0)),
-    st.tuples(st.just("set"), PICKS, st.floats(1e-3, 5.0)),
     st.tuples(st.just("sample"), st.integers(1, 16)),
-    st.tuples(st.just("alpha"), st.floats(0.0, 1.5)),
     st.tuples(st.just("read")),
 )
 
@@ -386,33 +375,29 @@ OPERATIONS = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(capacity=st.integers(1, 12), clip=st.booleans(), ops=st.lists(OPERATIONS, min_size=1, max_size=60))
 def test_samplers_match_a_naive_model(capacity, clip, ops):
-    """Random store/update/set/sample/alpha sequences against a list of
-    priorities: every priority and the running maximum match after each step,
-    and the proportional sampler's tree equals one built from its leaves."""
+    """Random store/update/sample sequences against a list of priorities:
+    every priority and the running maximum match after each step, and the
+    proportional sampler's tree equals one built from its leaves."""
     for cls in (ProportionalSampler, RankSampler):
         config = SamplerConfig(capacity=capacity, alpha=0.6, minibatch=4, clip_td=clip, resort_interval=7)
         sampler = cls(config)
         epsilon = config.epsilon if cls is ProportionalSampler else 0.0
         model: list[float | None] = [None] * capacity
-        top, cursor, alpha = 1.0, 0, 0.6
+        top, cursor, alpha = 1.0, 0, config.alpha
         for op, *args in ops:
             if op == "store":
                 assert sampler.store(TERMINAL) == cursor
                 model[cursor] = top
                 cursor = (cursor + 1) % capacity
-            elif op in ("update", "set"):
+            elif op == "update":
                 pick, value = args
                 slot = pick % (len(sampler) + 2) - 1
-                if op == "update":
-                    priority = (min(abs(value), 1.0) if clip else abs(value)) + epsilon
-                    write = sampler.update_priority
-                else:
-                    priority, write = value, sampler.set_priority
+                priority = (min(abs(value), 1.0) if clip else abs(value)) + epsilon
                 if not (0 <= slot < capacity and model[slot] is not None):
                     with pytest.raises(KeyError):
-                        write(slot, value)
+                        sampler.update_priority(slot, value)
                     continue
-                write(slot, value)
+                sampler.update_priority(slot, value)
                 model[slot] = priority
                 top = max(top, priority)
             elif op == "sample":
@@ -424,33 +409,26 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                 assert all(model[slot] is not None for slot in batch.indices)
                 if cls is ProportionalSampler:
                     tree = sampler.tree
-                    assert batch.probabilities.tolist() == [tree.leaf(s) / tree.total for s in batch.indices]
-            elif op == "alpha":
-                alpha = args[0]
-                if cls is ProportionalSampler:
-                    sampler.rebuild(alpha=alpha)
-                else:
-                    sampler.set_alpha(alpha)
+                    assert batch.probabilities.tolist() == [leaves(tree)[s] / tree.total for s in batch.indices]
             assert len(sampler) == sum(p is not None for p in model)
             if cls is RankSampler and sampler._partition is not None:
                 # the draws index ranks without clamping them to the live count
                 assert sampler._partition.size <= len(sampler)
             assert sampler.max_priority == top
-            assert sampler.alpha == alpha
             for slot, priority in enumerate(model):
                 if priority is not None:
                     assert sampler.priority(slot) == priority
             if cls is ProportionalSampler:
                 tree = sampler.tree
-                leaves = [0.0] * tree.capacity
+                expected = [0.0] * tree.capacity
                 for slot, priority in enumerate(model):
                     if priority is not None:
-                        leaves[slot] = priority**alpha
-                # leaves() reads no internal sum, so writes stay pending until a read
-                assert tree.leaves().tolist() == leaves
+                        expected[slot] = priority**alpha
+                # the raw array's leaves, read without settling, so writes stay pending until a read
+                assert tree._nodes[tree.capacity - 1 :].tolist() == expected
                 if op in ("sample", "read"):
-                    assert tree.nodes.tobytes() == pairwise_tree(leaves).tobytes()
+                    assert tree.nodes.tobytes() == pairwise_tree(expected).tobytes()
         if cls is ProportionalSampler:
-            assert sampler.tree.nodes.tobytes() == pairwise_tree(sampler.tree.leaves()).tobytes()
+            assert sampler.tree.nodes.tobytes() == pairwise_tree(leaves(sampler.tree)).tobytes()
         else:
             assert sampler.heap.heap_ordered()

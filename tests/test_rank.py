@@ -26,7 +26,7 @@ def prepared_sampler(magnitudes, alpha=0.7, minibatch=None, resort_interval=1, s
         sampler.store(TERMINAL)
     for i, m in enumerate(magnitudes):
         sampler.update_priority(i, m)
-    sampler.full_sort()
+    sampler.heap.sort()
     return sampler
 
 
@@ -39,6 +39,11 @@ def exact_ranks(magnitudes):
     return np.array(ranks)
 
 
+def rank_of(store, slot):
+    """1-based rank approximated by the slot's current heap position."""
+    return store.slots().index(slot) + 1
+
+
 # -- heap ---------------------------------------------------------------------
 
 
@@ -47,7 +52,7 @@ def test_raising_a_key_above_the_root_moves_it_to_rank_one():
     for slot, key in enumerate([5.0, 3.0, 4.0, 1.0]):
         store.insert(slot, key)
     store.update(3, 9.0)
-    assert store.rank_of(3) == 1
+    assert rank_of(store, 3) == 1
     assert store.heap_ordered()
 
 
@@ -55,9 +60,9 @@ def test_updating_with_an_equal_key_keeps_the_position():
     store = RankStore(capacity=8)
     for slot, key in enumerate([5.0, 3.0, 4.0, 1.0]):
         store.insert(slot, key)
-    position = store.rank_of(1)
+    position = rank_of(store, 1)
     store.update(1, 3.0)
-    assert store.rank_of(1) == position
+    assert rank_of(store, 1) == position
 
 
 def test_resort_interval_triggers_a_full_sort():
@@ -82,8 +87,9 @@ def test_full_sort_orders_keys_non_increasing():
     store.sort()
     assert store.keys() == sorted(keys.tolist(), reverse=True)
     # inverse index intact
+    sorted_keys = store.keys()
     for position, slot in enumerate(store.slots()):
-        assert store.rank_of(slot) == position + 1
+        assert store.key_of(slot) == sorted_keys[position]
 
 
 def test_full_sort_on_sorted_and_reversed_inputs():
@@ -123,8 +129,9 @@ def test_heap_property_holds_after_every_operation(ops):
             present.add(slot)
         assert store.heap_ordered()
         assert sorted(store.slots()) == sorted(present)
+        keys, slots = store.keys(), store.slots()
         for s in present:
-            assert store.slot_at(store.rank_of(s) - 1) == s
+            assert store.key_of(s) == keys[slots.index(s)]
 
 
 def test_sort_orders_tied_and_zero_keys_by_slot():
@@ -134,7 +141,7 @@ def test_sort_orders_tied_and_zero_keys_by_slot():
     store.sort()
     assert store.slots() == [2, 3, 6, 1, 7, 0, 4, 5]
     assert store.keys() == [3.0, 3.0, 3.0, 1.5, 1.5, 0.0, 0.0, 0.0]
-    assert [store.rank_of(s) for s in range(8)] == [6, 4, 1, 2, 7, 8, 3, 5]
+    assert [rank_of(store, s) for s in range(8)] == [6, 4, 1, 2, 7, 8, 3, 5]
 
 
 class SwapHeap:
@@ -224,7 +231,7 @@ def test_heap_layout_matches_a_swap_based_heap(resort_interval, ops):
         assert store.keys() == reference.keys
         assert store.slots() == reference.slots
         assert store.steps_since_sort == reference.steps_since_sort
-        assert all(store.rank_of(s) == reference.pos[s] + 1 for s in reference.slots)
+        assert all(store.key_of(s) == reference.keys[reference.pos[s]] for s in reference.slots)
         assert store.heap_ordered()
 
 
@@ -264,7 +271,7 @@ def test_partition_masses_balance_within_discreteness(n, alpha, k):
     masses = partition.segment_masses()
     assert np.abs(masses - 1.0 / k).max() <= 1.0 / (2 * k)
     assert masses.sum() == pytest.approx(1.0)
-    counts = partition.segment_counts()
+    counts = np.diff(partition.boundaries)
     assert counts.min() >= 1 and counts.sum() == n
 
 
@@ -282,17 +289,6 @@ def test_partition_cache_reuse_within_ten_percent():
     rebuilt = sampler.partition_for()
     assert rebuilt is not first
     assert rebuilt.size == 123
-
-
-def test_partition_rebuilds_when_alpha_changes():
-    sampler = RankSampler(SamplerConfig(capacity=32, alpha=0.7, minibatch=8, resort_interval=1))
-    for _ in range(32):
-        sampler.store(TERMINAL)
-    first = sampler.partition_for()
-    sampler.set_alpha(0.5)
-    rebuilt = sampler.partition_for()
-    assert rebuilt is not first
-    assert rebuilt.alpha == 0.5
 
 
 # -- sampling -----------------------------------------------------------------
@@ -376,18 +372,18 @@ def test_new_transition_enters_the_top_segment():
     sampler = prepared_sampler(magnitudes, minibatch=5, resort_interval=1)
     slot = sampler.store(TERMINAL)
     assert sampler.priority(slot) == pytest.approx(1.0)  # running max from the bootstrap
-    sampler.full_sort()
-    assert sampler.heap.rank_of(slot) == 1
+    sampler.heap.sort()
+    assert rank_of(sampler.heap, slot) == 1
 
 
 def test_heap_order_approximates_ranks_without_resort():
     rng = np.random.default_rng(12)
     sampler = prepared_sampler(rng.uniform(0, 1, 64).tolist(), resort_interval=10**9)
     # after a full sort every element's heap position equals its exact rank
-    sampler.full_sort()
+    sampler.heap.sort()
     ranks = exact_ranks([sampler.priority(i) for i in range(64)])
     for slot in range(64):
-        assert sampler.heap.rank_of(slot) == ranks[slot]
+        assert rank_of(sampler.heap, slot) == ranks[slot]
 
 
 def stored_sampler(size, capacity=None, alpha=0.7, minibatch=16, seed=0):
@@ -425,14 +421,6 @@ def test_sample_draws_what_sample_many_draws_on_a_reused_partition():
     assert_sample_matches_the_bulk_path(sampler, 16)
 
 
-def test_sample_draws_what_sample_many_draws_after_set_alpha():
-    sampler = stored_sampler(100)
-    first = sampler.partition_for(16)
-    sampler.set_alpha(0.3)
-    assert sampler.partition_for(16) is not first
-    assert_sample_matches_the_bulk_path(sampler, 16)
-
-
 # b minibatches of k whose b * k draws end just below, at and just past one
 # bulk chunk, and, for a k that does not divide the chunk, span several
 CHUNK_CASES = [(k, _BULK_CHUNK // k + d) for k in (1, 7, 16, 32) for d in (-1, 0, 1)] + [(7, 3 * _BULK_CHUNK // 7 + 5)]
@@ -462,18 +450,6 @@ def test_draw_is_what_sample_wraps(size, capacity, k):
     assert_draw_is_what_sample_wraps(stored_sampler(size, capacity=capacity, minibatch=k), k)
 
 
-def test_draw_is_what_sample_wraps_on_a_reused_partition_across_set_alpha():
-    sampler = stored_sampler(100, capacity=200)
-    first = sampler.partition_for(16)
-    for _ in range(9):  # occupancy 109, within 10% of 100: ranks past 100 unreachable
-        sampler.store(TERMINAL)
-    assert sampler.partition_for(16) is first
-    assert_draw_is_what_sample_wraps(sampler, 16)
-    sampler.set_alpha(0.3)
-    assert_draw_is_what_sample_wraps(sampler, 16)
-    assert sampler.partition_for(16) is not first
-
-
 class LastStratumTop:
     """Generator stub whose last stratum draws the largest double below 1."""
 
@@ -489,8 +465,8 @@ def test_a_stratum_end_rounding_to_one_draws_from_the_last_piece(size, capacity)
     part = sampler.partition_for(16)
     assert (15 + (1.0 - 2.0**-53)) / 16 == 1.0  # past the last knot's bisect
     slots, probs = sampler._draw(16, LastStratumTop())
-    assert part.boundaries[-2] < sampler.heap.rank_of(slots[-1]) <= min(part.size, size)
-    assert probs[-1] == part.segment_masses()[-1] / part.segment_counts()[-1]
+    assert part.boundaries[-2] < rank_of(sampler.heap, slots[-1]) <= min(part.size, size)
+    assert probs[-1] == part.segment_masses()[-1] / np.diff(part.boundaries)[-1]
     assert sampler.sample(16, rng=LastStratumTop()).indices == slots
 
 

@@ -1,7 +1,9 @@
 import pickle
+import sys
 
 import numpy as np
 import pytest
+from reference import leaves
 from scipy import stats
 
 from prioritized_replay import ProportionalSampler, SamplerConfig, SumTree, Transition, sampling_probabilities
@@ -118,14 +120,13 @@ def test_set_leaf_rejects_bad_input():
     with pytest.raises(IndexError):
         tree.set_leaf(-1, 1.0)
     assert tree._stale == pending
-    assert np.array_equal(tree.leaves(), [0.0, 2.0, 0.0, 1.5])
+    assert np.array_equal(leaves(tree), [0.0, 2.0, 0.0, 1.5])
     assert same_bits(tree.nodes, eager_nodes(4, [(1, 2.0), (3, 1.5)]))
     assert tree.nodes[1] == before[1]
 
 
 def test_writes_reach_a_rebound_or_unpickled_array():
     tree = filled_tree([1, 2, 3, 4])
-    tree.nodes = tree.nodes.copy()
     tree.set_leaf(0, 5.0)
     assert tree.total == 14.0
     clone = pickle.loads(pickle.dumps(tree))
@@ -135,16 +136,6 @@ def test_writes_reach_a_rebound_or_unpickled_array():
     # pickled with writes pending: the clone settles them itself
     clone = pickle.loads(pickle.dumps(filled_tree([1, 2, 3, 4])))
     assert same_bits(clone.nodes, eager_nodes(4, enumerate([1, 2, 3, 4])))
-    # rebound with writes pending: the old array gets its sums, the new one is kept as given
-    tree = filled_tree([1, 2, 3, 4])
-    old = tree.nodes
-    tree.set_leaf(0, 5.0)
-    new = eager_nodes(4, enumerate([0, 0, 0, 7]))
-    tree.nodes = new
-    assert same_bits(old, eager_nodes(4, enumerate([5, 2, 3, 4])))
-    assert tree.nodes is new and tree.total == 7.0
-    tree.set_leaf(1, 1.0)
-    assert same_bits(tree.nodes, eager_nodes(4, enumerate([0, 1, 0, 7])))
 
 
 # -- value lookup ---------------------------------------------------------------
@@ -232,10 +223,13 @@ def test_find_many_keeps_the_query_shape_and_charges_two_nodes_per_level(shape):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_overflowed_total_is_rejected():
-    """Two priorities of 1e308 at alpha = 1 sum to inf at the root: every
-    descent refuses the tree rather than drawing from it."""
-    sampler = prepared_sampler([1e308, 1e308], alpha=1.0)
+    """Two leaves of 1e308, written into the array in place past set_leaf's
+    bound, sum to inf at the root: every descent refuses the tree rather than
+    drawing from it."""
+    sampler = prepared_sampler([1.0, 1.0], alpha=1.0)
     tree = sampler.tree
+    tree.nodes[tree.capacity - 1 :] = 1e308
+    tree.rebuild()
     assert tree.total == np.inf
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -249,6 +243,46 @@ def test_an_overflowed_total_is_rejected():
         with pytest.raises(ValueError, match="overflows"):
             descend()
     assert rng.bit_generator.state == before
+
+
+def test_set_leaf_refuses_a_value_past_its_share_of_the_float_maximum():
+    """A leaf holds at most float max / capacity: a full tree at the bound
+    sums to the float maximum exactly, and one ulp more is refused."""
+    tree = SumTree(4)
+    bound = sys.float_info.max / 4
+    for index in range(4):
+        tree.set_leaf(index, bound)
+    assert tree.total == sys.float_info.max
+    before = tree.nodes.tobytes()
+    for bad in (np.nextafter(bound, np.inf), 1e308, np.inf):
+        with pytest.raises(ValueError):
+            tree.set_leaf(2, bad)
+    assert tree.nodes.tobytes() == before
+
+
+def test_a_write_that_would_overflow_the_tree_is_refused():
+    """8e307 + 1e308 overflows to inf: the second write is refused, and the
+    tree, the slot's priority and the running maximum stay as they were."""
+    sampler = prepared_sampler([1.0, 1.0], alpha=1.0)
+    sampler.update_priority(0, 8e307)
+    tree = sampler.tree
+    before = (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority)
+    with pytest.raises(ValueError):
+        sampler.update_priority(1, 1e308)
+    assert (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority) == before
+    assert 0.0 < tree.total < np.inf
+    assert len(sampler.sample(2)) == 2
+
+
+def test_a_priority_whose_power_overflows_is_refused_as_a_bad_value():
+    """At alpha = 2, 1e200 ** 2 overflows Python's float power: the write
+    raises ValueError, like any other bad priority, and changes nothing."""
+    sampler = prepared_sampler([1.0, 1.0], alpha=2.0)
+    tree = sampler.tree
+    before = (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority)
+    with pytest.raises(ValueError):
+        sampler.update_priority(1, 1e200)
+    assert (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority) == before
 
 
 def test_rebuild_repairs_corruption():
@@ -324,31 +358,6 @@ def test_underfull_memory_samples_with_replacement():
     batch = sampler.sample(8)
     assert len(batch) == 8
     assert set(batch.indices) <= {0, 1}
-
-
-def test_rebuild_with_new_alpha_changes_the_distribution():
-    priorities = [0.5, 1.0, 2.0, 4.0]
-    sampler = prepared_sampler(priorities, alpha=1.0)
-    sampler.rebuild(alpha=0.0)
-    batch = sampler.sample(4)
-    assert np.allclose(batch.probabilities, 0.25)
-    assert sampler.alpha == 0.0
-
-
-def test_rebuild_writes_the_scalar_power_of_every_priority():
-    sampler = ProportionalSampler(SamplerConfig(capacity=1000, alpha=0.6))
-    for _ in range(700):
-        sampler.store(TERMINAL)
-    for slot, td in enumerate(np.random.default_rng(3).uniform(1e-6, 3.0, size=700)):
-        sampler.update_priority(slot, float(td))
-    sampler.rebuild(alpha=0.45)
-    offset = sampler.tree.capacity - 1
-    reference = SumTree(1000)
-    for slot in range(700):
-        leaf = sampler.priority(slot) ** 0.45
-        assert sampler.tree.nodes[offset + slot] == leaf
-        reference.set_leaf(slot, leaf)
-    assert np.array_equal(sampler.tree.nodes, reference.nodes)
 
 
 def test_eviction_removes_old_mass_in_the_same_call():

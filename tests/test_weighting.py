@@ -115,19 +115,3 @@ def test_alpha_can_anneal_down_to_zero():
 def test_schedule_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         AnnealSchedule(0.5, 1.0, 0)
-
-
-# -- direct priority assignment ---------------------------------------------------
-
-
-def test_set_priority_rejects_nonpositive_values():
-    from prioritized_replay import ProportionalSampler, RankSampler, SamplerConfig, Transition
-
-    for sampler_cls in (RankSampler, ProportionalSampler):
-        sampler = sampler_cls(SamplerConfig(capacity=2))
-        slot = sampler.store(Transition(0, 0, 0.0, 0.0, 0, is_terminal=True))
-        with pytest.raises(ValueError):
-            sampler.set_priority(slot, 0.0)
-        sampler.set_priority(slot, 2.5)
-        assert sampler.priority(slot) == 2.5, sampler_cls.__name__
-        assert sampler.max_priority == 2.5, sampler_cls.__name__

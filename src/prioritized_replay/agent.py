@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffwalk import MAX_STATES, Cliffwalk, fill_memory, ground_truth_q, memory_size
-from .core import (
-    DEFAULT_EPSILON,
-    SamplerConfig,
-    _check_count,
-    _check_nonnegative,
-    _check_positive,
-    td_magnitude,
-)
+from .core import SamplerConfig, _check_count, _check_nonnegative, _check_positive, td_magnitude
 from .rank import RankSampler
 from .sumtree import ProportionalSampler
 from .weighting import AnnealSchedule, is_weights
@@ -64,7 +57,8 @@ _UNIFORM_CHUNK = 8192
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One benchmark trial: chain size, strategy, representation, seed, and knobs."""
+    """One benchmark trial: chain size, strategy, representation, seed, and knobs.
+    A stochastic strategy's sampler keeps ``SamplerConfig``'s other defaults."""
 
     n_states: int
     strategy: str
@@ -72,14 +66,11 @@ class RunConfig:
     seed: int = 1
     budget: int = 10_000_000
     mse_threshold: float = 1e-3
-    minibatch: int = 16
     step_size: float = 0.25
     alpha: float | None = None
     beta0: float | None = None
-    epsilon: float = DEFAULT_EPSILON
     clip_td: bool = False
     use_is_weights: bool = True
-    resort_interval: int = 1_000_000
 
     def __post_init__(self) -> None:
         _check_count("n_states", self.n_states, 2)
@@ -93,11 +84,8 @@ class RunConfig:
             )
         _check_count("seed", self.seed, 0)
         _check_count("budget", self.budget)
-        _check_count("minibatch", self.minibatch)
-        _check_count("resort_interval", self.resort_interval)
         _check_positive("step_size", self.step_size)
         _check_nonnegative("mse_threshold", self.mse_threshold)
-        _check_positive("epsilon", self.epsilon)
         if self.alpha is not None:
             _check_nonnegative("alpha", self.alpha)
         if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
@@ -243,14 +231,7 @@ class _PrioritizedSelector(_Selector):
         strategy = config.strategy
         alpha = config.alpha if config.alpha is not None else DEFAULT_ALPHA[strategy]
         beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0[strategy]
-        sampler_config = SamplerConfig(
-            capacity=len(cells),
-            alpha=alpha,
-            epsilon=config.epsilon,
-            minibatch=config.minibatch,
-            resort_interval=config.resort_interval,
-            clip_td=config.clip_td,
-        )
+        sampler_config = SamplerConfig(capacity=len(cells), alpha=alpha, clip_td=config.clip_td)
         sampler_cls = RankSampler if strategy == "rank_stochastic" else ProportionalSampler
         self.sampler = sampler = sampler_cls(sampler_config, rng=rng)
         for c in cells:
@@ -261,7 +242,7 @@ class _PrioritizedSelector(_Selector):
         self.schedule = AnnealSchedule(beta0, 1.0, config.budget)
         self.use_is_weights = config.use_is_weights
         self.memory_len = len(sampler)
-        self.minibatch = config.minibatch
+        self.minibatch = sampler_config.minibatch
         self.rng = rng
 
     def next(self, updates: int):

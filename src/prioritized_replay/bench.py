@@ -83,10 +83,6 @@ class SweepConfig:
     eta: float = 0.25
     clip_td: bool = False
     use_is_weights: bool = True
-    minibatch: int = 16
-    epsilon: float = 1e-6
-    resort_interval: int = 1_000_000
-    mse_threshold: float = 1e-3
     jobs: int | None = None
     out_dir: str | None = None
 
@@ -115,8 +111,8 @@ class SweepConfig:
 _INT_TUPLE_KEYS = {"sizes", "seeds"}
 _STR_TUPLE_KEYS = {"strategies", "representations"}
 _BOOL_KEYS = {"clip_td", "use_is_weights"}
-_INT_KEYS = {"budget", "minibatch", "resort_interval", "jobs"}
-_FLOAT_KEYS = {"alpha", "beta0", "eta", "epsilon", "mse_threshold"}
+_INT_KEYS = {"budget", "jobs"}
+_FLOAT_KEYS = {"alpha", "beta0", "eta"}
 _STR_KEYS = {"out_dir"}
 
 
@@ -216,15 +212,11 @@ def _run_config(config: SweepConfig, cell: SweepCell) -> RunConfig:
         representation=cell.representation,
         seed=cell.seed,
         budget=config.budget,
-        mse_threshold=config.mse_threshold,
-        minibatch=config.minibatch,
         step_size=config.eta,
         alpha=config.alpha,
         beta0=config.beta0,
-        epsilon=config.epsilon,
         clip_td=config.clip_td,
         use_is_weights=config.use_is_weights,
-        resort_interval=config.resort_interval,
     )
 
 
@@ -399,9 +391,7 @@ def check_rank_distribution(
     draws the strata.
     """
     size = len(priorities)
-    sampler = RankSampler(
-        SamplerConfig(capacity=size, alpha=alpha, minibatch=size, resort_interval=1)
-    )
+    sampler = RankSampler(SamplerConfig(capacity=size, alpha=alpha, minibatch=size))
     for i, t in enumerate(_dummy_transitions(size)):
         sampler.store(t)
         sampler.update_priority(i, priorities[i])

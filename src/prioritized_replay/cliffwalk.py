@@ -114,7 +114,13 @@ def value_iteration_q(spec: Cliffwalk, tol: float = 1e-12) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _verified_truth(spec: Cliffwalk) -> np.ndarray:
+def ground_truth_q(spec: Cliffwalk) -> np.ndarray:
+    """Optimal action values, shape (n, 2): gamma**(n-1-s) for the right action, 0 otherwise.
+
+    The closed form is checked against :func:`value_iteration_q` before use
+    (once per chain size) so a bad formula can never leak into a benchmark.
+    The result is cached and read-only.
+    """
     n_states = spec.n_states
     closed = np.zeros((n_states, 2))
     states = np.arange(n_states)
@@ -124,13 +130,3 @@ def _verified_truth(spec: Cliffwalk) -> np.ndarray:
         raise AssertionError("closed-form action values disagree with value iteration")
     closed.setflags(write=False)
     return closed
-
-
-def ground_truth_q(spec: Cliffwalk) -> np.ndarray:
-    """Optimal action values, shape (n, 2): gamma**(n-1-s) for the right action, 0 otherwise.
-
-    The closed form is checked against :func:`value_iteration_q` before use
-    (once per chain size) so a bad formula can never leak into a benchmark.
-    """
-    return _verified_truth(spec)
-

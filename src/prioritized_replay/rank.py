@@ -147,7 +147,6 @@ class Partition:
     boundaries: tuple[int, ...]
     cumulative: tuple[float, ...]
     size: int
-    alpha: float
     segments: int
 
     def segment_masses(self) -> np.ndarray:
@@ -185,7 +184,6 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
         boundaries=tuple(boundaries),
         cumulative=cumulative,
         size=n,
-        alpha=alpha,
         segments=k,
     )
 
@@ -280,19 +278,17 @@ class RankSampler(PrioritizedMemory):
 
         It draws what ``batches`` :meth:`sample` calls on ``rng`` draw."""
         rng = self._rng_for(k, batches, rng)
-        ranks, _ = self._draw_ranks(batches * k, rng, strata=k)
+        ranks = self._draw_ranks(batches * k, rng, strata=k)
         return self.heap.slots_array()[ranks].reshape(batches, k)
 
-    def _draw_ranks(
-        self, count: int, rng: np.random.Generator, strata: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """0-based rank positions and their probabilities for ``count`` draws in
-        minibatches of ``strata``, by :meth:`_draw`'s arithmetic in its order, in
-        chunks of whole minibatches (about ``_BULK_CHUNK`` draws) in place."""
+    def _draw_ranks(self, count: int, rng: np.random.Generator, strata: int) -> np.ndarray:
+        """0-based rank positions for ``count`` draws in minibatches of
+        ``strata``, by :meth:`_draw`'s arithmetic in its order, in chunks of
+        whole minibatches (about ``_BULK_CHUNK`` draws) in place."""
         knots = np.asarray(self.partition_for(strata).cumulative)
         lo, counts, knot, span = (np.array(column) for column in zip(*self._pieces))
-        top, prob, counts = lo + counts - 1, span / counts, counts.astype(np.float64)
-        ranks, probs = np.empty(count, dtype=np.int64), np.empty(count)
+        top, counts = lo + counts - 1, counts.astype(np.float64)
+        ranks = np.empty(count, dtype=np.int64)
         step = max(_BULK_CHUNK // strata, 1) * strata
         u_buf, f_buf = np.empty((2, min(count, step)))
         i_buf = np.empty(u_buf.size, dtype=np.int64)
@@ -312,5 +308,4 @@ class RankSampler(PrioritizedMemory):
             rank[:] = u  # truncates, as astype(int64) does
             rank += np.take(lo, piece, out=i, mode="clip")
             np.minimum(rank, np.take(top, piece, out=i, mode="clip"), out=rank)
-            np.take(prob, piece, out=probs[start : start + rank.size], mode="clip")
-        return ranks, probs
+        return ranks

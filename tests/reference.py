@@ -75,3 +75,12 @@ def oracle_select(transitions, q: LinearQ, truth: np.ndarray) -> int:
 def leaves(tree) -> np.ndarray:
     """A sum tree's leaf values: the last ``capacity`` entries of its settled array."""
     return tree.nodes[tree.capacity - 1 :]
+
+
+def piece_probabilities(partition, ranks) -> np.ndarray:
+    """The probability of drawing each 0-based rank in ``ranks`` from a rank
+    ``partition``: the mass of the piece j that holds it spread evenly over
+    the piece's ranks, ``segment_masses()[j] / np.diff(boundaries)[j]``."""
+    boundaries = np.asarray(partition.boundaries)
+    pieces = np.searchsorted(boundaries, ranks, side="right") - 1
+    return (partition.segment_masses() / np.diff(boundaries))[pieces]

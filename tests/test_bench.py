@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from prioritized_replay import SumTree
+from prioritized_replay import SumTree, bench, cli
 from prioritized_replay.bench import (
     RAW_COLUMNS,
     SUMMARY_COLUMNS,
@@ -75,23 +76,16 @@ def test_config_validation():
     # rejected at construction rather than partway through a sweep
     for bad in (
         dict(seeds=(1, 1)),
-        dict(minibatch=0),
-        dict(epsilon=0.0),
-        dict(epsilon=-1e-6),
         dict(alpha=-0.1),
         dict(alpha=float("nan")),
         dict(alpha=float("inf")),
         dict(beta0=float("nan")),
         dict(beta0=-0.1),
         dict(beta0=1.5),
-        dict(resort_interval=0),
         dict(eta=float("nan")),
         dict(eta=float("inf")),
         dict(eta=0.0),
         dict(eta=-0.25),
-        dict(epsilon=float("nan")),
-        dict(mse_threshold=float("nan")),
-        dict(mse_threshold=-1e-3),
         dict(jobs=0),
         dict(jobs=-1),
         dict(jobs=1.5),
@@ -100,7 +94,7 @@ def test_config_validation():
     ):
         with pytest.raises(SweepConfigError):
             SweepConfig(**bad)
-    SweepConfig(alpha=0.0, beta0=0.0, minibatch=1, resort_interval=1, mse_threshold=0.0, jobs=1)
+    SweepConfig(alpha=0.0, beta0=0.0, jobs=1)
     SweepConfig(beta0=1.0)
 
 
@@ -207,6 +201,17 @@ def test_lists_read_the_same_in_files_and_flags(tmp_path, key, text, value):
     path.write_text(f"{key} = {text}\n")
     assert getattr(load_sweep_config(path), key) == value
     assert getattr(build_parser().parse_args(["sweep", f"--{key}", text]), key) == value
+
+
+def test_files_and_flags_take_the_sweep_configs_keys():
+    """A setting reaches the config, the flags and the text parser together."""
+    fields = {field.name for field in dataclasses.fields(SweepConfig)}
+    flags = {key for _, key, _ in cli._SWEEP_FLAGS}
+    parsed = (
+        bench._INT_TUPLE_KEYS | bench._STR_TUPLE_KEYS | bench._BOOL_KEYS
+        | bench._INT_KEYS | bench._FLOAT_KEYS | bench._STR_KEYS
+    )
+    assert fields == flags == parsed
 
 
 # -- sweeps ----------------------------------------------------------------------

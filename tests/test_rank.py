@@ -12,6 +12,7 @@ from prioritized_replay import (
     sampling_probabilities,
 )
 from prioritized_replay.core import _BULK_CHUNK
+from reference import piece_probabilities
 
 TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
@@ -397,18 +398,25 @@ def stored_sampler(size, capacity=None, alpha=0.7, minibatch=16, seed=0):
     return sampler
 
 
+def assert_probabilities_match_the_partition(sampler, k, slots, probabilities):
+    """Each drawn slot's probability is its rank's under the cached partition."""
+    position = {slot: rank for rank, slot in enumerate(sampler.heap.slots())}
+    ranks = [position[slot] for slot in slots]
+    assert np.array_equal(probabilities, piece_probabilities(sampler.partition_for(k), ranks))
+
+
 def assert_sample_matches_the_bulk_path(sampler, k):
     for seed in range(5):
         batch = sampler.sample(k, rng=np.random.default_rng(seed))
         bulk = sampler.sample_many(k, 1, rng=np.random.default_rng(seed))[0]
-        _, probs = sampler._draw_ranks(k, np.random.default_rng(seed), strata=k)
         assert batch.indices == bulk.tolist()
-        assert np.array_equal(batch.probabilities, probs)
+        assert_probabilities_match_the_partition(sampler, k, batch.indices, batch.probabilities)
 
 
 @pytest.mark.parametrize("size, k", [(100, 1), (100, 16), (300, 32), (5, 16), (1, 4)])
 def test_sample_draws_what_sample_many_draws(size, k):
-    """The per-call and the bulk path give the same slots and probabilities."""
+    """The per-call and the bulk path give the same slots, and the per-call
+    path the partition's probabilities."""
     assert_sample_matches_the_bulk_path(stored_sampler(size, minibatch=k), k)
 
 
@@ -434,8 +442,11 @@ def test_sample_many_draws_what_successive_samples_draw(k, batches):
     bulk_rng = np.random.default_rng(4)
     assert sampler.sample_many(k, batches, rng=bulk_rng).tolist() == [batch.indices for batch in samples]
     assert bulk_rng.bit_generator.state == rng.bit_generator.state
-    _, probs = sampler._draw_ranks(batches * k, np.random.default_rng(4), strata=k)
-    assert np.array_equal(probs.reshape(batches, k), [batch.probabilities for batch in samples])
+    assert_probabilities_match_the_partition(
+        sampler, k,
+        [slot for batch in samples for slot in batch.indices],
+        np.concatenate([batch.probabilities for batch in samples]),
+    )
 
 
 def assert_draw_is_what_sample_wraps(sampler, k):
@@ -490,4 +501,4 @@ def test_the_bulk_path_draws_stratum_ends_as_the_draw_does(size, capacity):
         sampler.store(TERMINAL)
     slots, probs = sampler._draw(16, EveryStratumTop())
     assert sampler.sample_many(16, 3, rng=EveryStratumTop()).tolist() == [slots] * 3
-    assert sampler._draw_ranks(48, EveryStratumTop(), strata=16)[1].tolist() == probs * 3
+    assert_probabilities_match_the_partition(sampler, 16, slots, probs)

@@ -25,7 +25,7 @@ DEFAULT_EPSILON = 1e-6
 # insertion uses the running maximum of all priorities assigned so far.
 INITIAL_PRIORITY = 1.0
 
-# Values per chunk of a bulk draw (find_many, _draw_ranks): a chunk's buffers,
+# Values per chunk of a bulk draw (find_many, RankSampler.sample_many): a chunk's buffers,
 # 128 KiB each, stay in L2. On a 2-vCPU AVX-512 x86 host, 10^6-value draws ran
 # fastest at 2^14 to 2^16, about 1.5x slower unchunked and 2x slower at 2^10.
 _BULK_CHUNK = 1 << 14

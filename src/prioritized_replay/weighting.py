@@ -11,12 +11,19 @@ from .core import _check_count, _check_probabilities
 __all__ = ["AnnealSchedule", "is_weights"]
 
 
+def _check_exponent(name: str, value: float) -> None:
+    """Reject an IS exponent outside [0, 1]; NaN fails the comparison too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Linear interpolation of an exponent from ``start`` to ``end`` over ``budget`` steps.
 
     The value is clamped at ``end`` past the budget, so a schedule ending at 1
-    reaches exactly 1.0 at the final step.
+    reaches exactly 1.0 at the final step. ``start`` and ``end`` lie in
+    [0, 1], as an IS exponent must, so every value does too.
     """
 
     start: float
@@ -24,6 +31,8 @@ class AnnealSchedule:
     budget: int
 
     def __post_init__(self) -> None:
+        for name in ("start", "end"):
+            _check_exponent(name, getattr(self, name))
         _check_count("budget", self.budget)
 
     def value(self, step: int) -> float:
@@ -45,9 +54,7 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     if p.size == 0:
         raise ValueError("probabilities must be non-empty")
     _check_probabilities("probabilities", p)
-    if memory_size < 1:
-        raise ValueError("memory_size must be a positive integer")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    _check_count("memory_size", memory_size)
+    _check_exponent("beta", beta)
     w = (memory_size * p) ** -beta
     return w / w.max()

@@ -502,3 +502,85 @@ def test_the_bulk_path_draws_stratum_ends_as_the_draw_does(size, capacity):
     slots, probs = sampler._draw(16, EveryStratumTop())
     assert sampler.sample_many(16, 3, rng=EveryStratumTop()).tolist() == [slots] * 3
     assert_probabilities_match_the_partition(sampler, 16, slots, probs)
+
+
+def most_knots_in_a_stratum(partition, k):
+    """The largest number of knots above j/k and up to (j+1)/k, over strata j."""
+    knots = np.asarray(partition.cumulative)
+    return max(int(((knots > j / k) & (knots <= (j + 1) / k)).sum()) for j in range(k))
+
+
+def assert_sample_many_draws_what_successive_samples_draw(sampler, k, batches):
+    rng = np.random.default_rng(4)
+    samples = [sampler.sample(k, rng=rng).indices for _ in range(batches)]
+    bulk_rng = np.random.default_rng(4)
+    assert sampler.sample_many(k, batches, rng=bulk_rng).tolist() == samples
+    assert bulk_rng.bit_generator.state == rng.bit_generator.state
+
+
+# at n = k = 16 a higher alpha crowds more knots into the last strata
+@pytest.mark.parametrize("alpha, most", [(0.0, 1), (0.7, 3), (1.0, 4), (2.0, 11), (3.0, 14)])
+def test_sample_many_finds_each_piece_however_many_knots_a_stratum_holds(alpha, most):
+    sampler = stored_sampler(16, alpha=alpha)
+    assert most_knots_in_a_stratum(sampler.partition_for(16), 16) == most
+    assert_sample_many_draws_what_successive_samples_draw(sampler, 16, _BULK_CHUNK // 16 + 3)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 3.0])
+def test_sample_many_finds_each_piece_on_a_reused_partition(alpha):
+    sampler = stored_sampler(16, capacity=32, alpha=alpha)
+    first = sampler.partition_for(16)
+    sampler.store(TERMINAL)  # occupancy 17, within 10% of 16: rank 17 unreachable
+    assert sampler.partition_for(16) is first
+    assert_sample_many_draws_what_successive_samples_draw(sampler, 16, 200)
+
+
+class EveryStratumBottom:
+    """Generator stub drawing 0.0 for every stratum, so each value is j/k."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out.fill(0.0)
+        return out
+
+
+# 0-based ranks per stratum: j / 16 starts piece j; (j + 1) / 16 starts piece
+# j + 1, except that stratum 0's end stays below 1/16 and 1.0 is in the last piece
+@pytest.mark.parametrize("stub, ranks", [(EveryStratumBottom, list(range(16))), (EveryStratumTop, [0, *range(2, 16), 15])])
+def test_values_on_a_knot_draw_from_the_piece_it_starts(stub, ranks):
+    """At alpha 0 with n = k = 16 knot j is j/16 exactly, so a stratum's
+    start (and, rounded, its end) lies on a knot: the piece is the one
+    starting there."""
+    sampler = stored_sampler(16, alpha=0.0)
+    assert sampler.partition_for(16).cumulative == tuple(j / 16 for j in range(17))
+    slots, _ = sampler._draw(16, stub())
+    assert [rank_of(sampler.heap, slot) - 1 for slot in slots] == ranks
+    assert sampler.sample_many(16, 3, rng=stub()).tolist() == [slots] * 3
+
+
+class RepeatedMinibatch:
+    """Generator stub drawing the same k values for every minibatch."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out.reshape(-1, len(self.values))[:] = self.values
+        return out
+
+
+def test_values_on_the_knots_of_a_crowded_stratum_draw_from_the_piece_they_start():
+    """At alpha 3 with n = k = 16 the last stratum holds 14 knots; a value on
+    each knot below 1.0 draws the piece (here one rank) starting there."""
+    sampler = stored_sampler(16, alpha=3.0)
+    knots = sampler.partition_for(16).cumulative
+    crowded = [piece for piece in range(16) if knots[piece] > 15 / 16]
+    assert len(crowded) == 13
+    for piece in crowded:
+        stub = RepeatedMinibatch([0.5] * 15 + [knots[piece] * 16 - 15])  # exact: (15 + r) / 16 is the knot
+        slots, _ = sampler._draw(16, stub)
+        assert rank_of(sampler.heap, slots[-1]) - 1 == piece
+        assert sampler.sample_many(16, 2, rng=stub).tolist() == [slots] * 2

@@ -115,3 +115,26 @@ def test_alpha_can_anneal_down_to_zero():
 def test_schedule_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         AnnealSchedule(0.5, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "4", None])
+def test_memory_size_must_be_a_positive_whole_number(bad):
+    with pytest.raises(ValueError, match="memory_size must be an integer"):
+        is_weights([0.5], bad, 0.5)
+
+
+def test_numpy_integer_memory_size_is_accepted():
+    assert is_weights([0.5, 0.25], np.int64(4), 1.0).tolist() == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.0 + 1e-12])
+def test_schedule_rejects_a_start_or_end_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"start must lie in \[0, 1\]"):
+        AnnealSchedule(bad, 1.0, 10)
+    with pytest.raises(ValueError, match=r"end must lie in \[0, 1\]"):
+        AnnealSchedule(0.5, bad, 10)
+
+
+def test_schedule_accepts_the_unit_interval_ends():
+    assert AnnealSchedule(0.0, 1.0, 10).value(5) == 0.5
+    assert AnnealSchedule(1.0, 0.0, 10).value(10) == 0.0

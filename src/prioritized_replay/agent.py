@@ -233,7 +233,7 @@ class _PrioritizedSelector(_Selector):
         beta0 = config.beta0 if config.beta0 is not None else DEFAULT_BETA0[strategy]
         sampler_config = SamplerConfig(capacity=len(cells), alpha=alpha, clip_td=config.clip_td)
         sampler_cls = RankSampler if strategy == "rank_stochastic" else ProportionalSampler
-        self.sampler = sampler = sampler_cls(sampler_config, rng=rng)
+        self.sampler = sampler = sampler_cls(sampler_config)
         for c in cells:
             slot = sampler.store(spec.transitions[c])
             if instrument is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
@@ -69,29 +69,63 @@ class SweepConfigError(ValueError):
     """Raised for malformed sweep configuration files or values."""
 
 
+def parse_on_off(raw: str) -> bool:
+    """``on``/``true``/``1``/``yes`` or ``off``/``false``/``0``/``no``, any case."""
+    lowered = raw.lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"expected on or off, got {raw!r}")
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _seeds(raw: str) -> tuple[int, ...]:
+    """A comma list, or a bare count N meaning seeds 1..N."""
+    return _ints(raw) if "," in raw else tuple(range(1, int(raw) + 1))
+
+
+def _setting(default, parse, help: str, flag: str | None = None):
+    """A sweep setting: its default, the parser of its text, its help, and its
+    flag unless that is ``--`` plus the key with ``-`` for ``_``."""
+    return field(default=default, metadata={"parse": parse, "help": help, "flag": flag})
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid definition plus the knobs shared by every trial in the sweep."""
+    """Grid definition plus the knobs shared by every trial in the sweep. Each
+    field declares one setting, which config files, flags and ``--help`` read."""
 
-    sizes: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16)
-    strategies: tuple[str, ...] = STRATEGIES
-    representations: tuple[str, ...] = REPRESENTATIONS
-    seeds: tuple[int, ...] = tuple(range(1, 11))
-    budget: int = 10_000_000
-    alpha: float | None = None
-    beta0: float | None = None
-    eta: float = 0.25
-    clip_td: bool = False
-    use_is_weights: bool = True
-    jobs: int | None = None
-    out_dir: str | None = None
+    sizes: tuple[int, ...] = _setting((2, 4, 6, 8, 10, 12, 14, 16), _ints, "comma-separated chain sizes, e.g. 2,4,8")
+    strategies: tuple[str, ...] = _setting(STRATEGIES, _names, "comma-separated strategy names")
+    representations: tuple[str, ...] = _setting(REPRESENTATIONS, _names, "tabular,linear (default both)")
+    seeds: tuple[int, ...] = _setting(tuple(range(1, 11)), _seeds, "seed count N (runs 1..N) or a comma list")
+    budget: int = _setting(RunConfig.budget, int, "update budget per run before censoring")
+    alpha: float | None = _setting(RunConfig.alpha, float, "prioritization exponent override")
+    beta0: float | None = _setting(RunConfig.beta0, float, "initial importance-sampling exponent override")
+    eta: float = _setting(RunConfig.step_size, float, "gradient step size")
+    clip_td: bool = _setting(RunConfig.clip_td, parse_on_off, "clip TD errors to [-1, 1]")
+    use_is_weights: bool = _setting(
+        RunConfig.use_is_weights, parse_on_off, "importance weights on|off", "--is-weights"
+    )
+    jobs: int | None = _setting(None, int, "parallel worker processes (default: cpu count)")
+    out_dir: str | None = _setting(None, str, "output directory for runs.csv/summary.csv")
 
     def __post_init__(self) -> None:
         for axis in ("sizes", "strategies", "representations", "seeds"):
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not values:
                 raise SweepConfigError(f"{axis} must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise SweepConfigError(f"seeds must be distinct, got {self.seeds}")
+            # a repeated value would run its cells twice
+            if len(set(values)) != len(values):
+                raise SweepConfigError(f"{axis} must be distinct, got {values}")
         # every other value is checked by the RunConfig each cell would run;
         # the grid is non-empty, so none goes unchecked. Each seed is checked
         # once, after the first cell, where a RunConfig per seed would meet it
@@ -108,78 +142,44 @@ class SweepConfig:
             raise SweepConfigError(str(error)) from None
 
 
-_INT_TUPLE_KEYS = {"sizes", "seeds"}
-_STR_TUPLE_KEYS = {"strategies", "representations"}
-_BOOL_KEYS = {"clip_td", "use_is_weights"}
-_INT_KEYS = {"budget", "jobs"}
-_FLOAT_KEYS = {"alpha", "beta0", "eta"}
-_STR_KEYS = {"out_dir"}
-
-
-def parse_on_off(raw: str) -> bool:
-    """``on``/``true``/``1``/``yes`` or ``off``/``false``/``0``/``no``, any case."""
-    lowered = raw.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on or off, got {raw!r}")
-
-
 def _parse_value(key: str, raw: str):
     """The value of ``key`` read from its text, alike in config files and
-    flags. Lists are comma-separated; ``seeds`` also takes a bare count N,
-    meaning seeds 1..N."""
-    raw = raw.strip()
+    flags, by the parser its ``SweepConfig`` field declares. Lists are
+    comma-separated."""
+    setting = {f.name: f for f in fields(SweepConfig)}.get(key)
+    if setting is None:
+        raise SweepConfigError(f"unknown configuration key {key!r}")
     try:
-        if key == "seeds" and "," not in raw:
-            return tuple(range(1, int(raw) + 1))
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        if key in _STR_TUPLE_KEYS:
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key in _BOOL_KEYS:
-            return parse_on_off(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return setting.metadata["parse"](raw.strip())
     except ValueError as exc:
         raise SweepConfigError(str(exc)) from None
-    raise SweepConfigError(f"unknown configuration key {key!r}")
 
 
-def load_sweep_config(path: str | Path, overrides: dict | None = None) -> SweepConfig:
-    """Parse a KEY = VALUE configuration file, then apply ``overrides`` on top.
+def load_sweep_config(path: str | Path | None = None, overrides: dict | None = None) -> SweepConfig:
+    """Parse a KEY = VALUE configuration file, if given, then apply
+    ``overrides`` (``None`` values skipped) on top.
 
     Lines starting with ``#`` and blank lines are ignored. Errors carry the
     offending line number.
     """
     values: dict = {}
-    known = {f.name for f in fields(SweepConfig)}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines = Path(path).read_text().splitlines() if path is not None else []
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise SweepConfigError(f"{path}:{lineno}: expected KEY = VALUE, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in known:
-            raise SweepConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key.strip()] = _parse_value(key.strip(), raw)
         except SweepConfigError as exc:
             raise SweepConfigError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return SweepConfig(**values)
-    except SweepConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a key SweepConfig lacks, or a value of the wrong kind
         raise SweepConfigError(str(exc)) from None
 
 
@@ -195,14 +195,8 @@ class SweepCell:
 
 
 def expand_runs(config: SweepConfig) -> list[SweepCell]:
-    cells = []
-    for n in config.sizes:
-        for strategy in config.strategies:
-            for representation in config.representations:
-                skipped = strategy == "oracle" and n > ORACLE_MAX_N
-                for seed in config.seeds:
-                    cells.append(SweepCell(n, strategy, representation, seed, skipped))
-    return cells
+    grid = product(config.sizes, config.strategies, config.representations, config.seeds)
+    return [SweepCell(n, s, r, seed, s == "oracle" and n > ORACLE_MAX_N) for n, s, r, seed in grid]
 
 
 def _run_config(config: SweepConfig, cell: SweepCell) -> RunConfig:
@@ -223,8 +217,7 @@ def _run_config(config: SweepConfig, cell: SweepCell) -> RunConfig:
 def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     """Execute the grid and return (raw rows, summary rows) as column dicts."""
     cells = expand_runs(config)
-    runnable = [c for c in cells if not c.skipped]
-    configs = [_run_config(config, c) for c in runnable]
+    configs = [_run_config(config, c) for c in cells if not c.skipped]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(configs) or 1)
     if jobs > 1 and len(configs) > 1:
@@ -233,38 +226,27 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     else:
         results = [run_training(rc) for rc in configs]
 
-    raw_rows = []
-    by_key = {(r.n_states, r.strategy, r.representation, r.seed): r for r in results}
-    for cell in cells:
-        if cell.skipped:
-            raw_rows.append(
-                {
-                    "n": cell.n,
-                    "transitions": memory_size(cell.n),
-                    "strategy": cell.strategy,
-                    "representation": cell.representation,
-                    "seed": cell.seed,
-                    "updates": "",
-                    "censored": "skipped",
-                    "wall_ms": 0,
-                }
-            )
-        else:
-            raw_rows.append(_raw_row(by_key[(cell.n, cell.strategy, cell.representation, cell.seed)]))
+    # pool.map keeps its input order, so the results follow the runnable cells
+    outcomes = iter(results)
+    raw_rows = [_raw_row(cell, None if cell.skipped else next(outcomes)) for cell in cells]
     raw_rows.sort(key=lambda row: (row["n"], row["strategy"], row["representation"], row["seed"]))
     return raw_rows, summarize(raw_rows)
 
 
-def _raw_row(result: RunResult) -> dict:
+def _raw_row(cell: SweepCell, result: RunResult | None) -> dict:
+    """The row of ``cell``: its run's outcome, or blank for a skipped cell."""
+    if result is None:
+        outcome = {"updates": "", "censored": "skipped", "wall_ms": 0}
+    else:
+        censored = "false" if result.converged else "true"
+        outcome = {"updates": result.updates, "censored": censored, "wall_ms": int(round(result.wall_ms))}
     return {
-        "n": result.n_states,
-        "transitions": result.transitions,
-        "strategy": result.strategy,
-        "representation": result.representation,
-        "seed": result.seed,
-        "updates": result.updates,
-        "censored": "false" if result.converged else "true",
-        "wall_ms": int(round(result.wall_ms)),
+        "n": cell.n,
+        "transitions": memory_size(cell.n),
+        "strategy": cell.strategy,
+        "representation": cell.representation,
+        "seed": cell.seed,
+        **outcome,
     }
 
 
@@ -327,6 +309,9 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
 
 
 # -- sampler validation -------------------------------------------------------
+
+# slots of validate_samplers' distribution checks, each drawn as one minibatch
+VALIDATION_SLOTS = 16
 
 
 @dataclass(frozen=True)
@@ -482,13 +467,16 @@ def check_is_unbiasedness(
 
 
 def validate_samplers(draws: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
-    """Run the full sampler validation suite; every check must pass for release."""
+    """Run the full sampler validation suite; every check must pass for release.
+    ``draws`` (at least ``VALIDATION_SLOTS``) and ``seed`` (at least 0) are checked first."""
+    _check_count("draws", draws, VALIDATION_SLOTS)
+    _check_count("seed", seed, 0)
     results = []
     for alpha in (0.0, 0.6, 0.7, 1.0):
         rng = np.random.default_rng(seed + 7)
-        results.append(check_sumtree_distribution(alpha, rng.uniform(0.1, 5.0, 16), rng, draws=draws))
+        results.append(check_sumtree_distribution(alpha, rng.uniform(0.1, 5.0, VALIDATION_SLOTS), rng, draws=draws))
         rng = np.random.default_rng(seed + 11)
-        results.append(check_rank_distribution(alpha, rng.uniform(0.1, 5.0, 16), rng, draws=draws))
+        results.append(check_rank_distribution(alpha, rng.uniform(0.1, 5.0, VALIDATION_SLOTS), rng, draws=draws))
     results.append(check_tree_conservation(seed=seed + 3))
     results.append(check_partition_masses())
     results.append(check_partition_masses(n=1000, alpha=0.0, k=10))

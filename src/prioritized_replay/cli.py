@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .bench import (
     OUT_DIR_ENV,
+    VALIDATION_SLOTS,
     SweepConfig,
     SweepConfigError,
     _parse_value,
@@ -20,6 +22,7 @@ from .bench import (
     validate_samplers,
     write_results,
 )
+from .core import _check_count
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -33,34 +36,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-# (flag, SweepConfig key, help); every flag reads its text as a config file
-# reads its key
-_SWEEP_FLAGS = (
-    ("--sizes", "sizes", "comma-separated chain sizes, e.g. 2,4,8"),
-    ("--strategies", "strategies", "comma-separated strategy names"),
-    ("--representations", "representations", "tabular,linear (default both)"),
-    ("--seeds", "seeds", "seed count N (runs 1..N) or a comma list"),
-    ("--budget", "budget", "update budget per run before censoring"),
-    ("--alpha", "alpha", "prioritization exponent override"),
-    ("--beta0", "beta0", "initial importance-sampling exponent override"),
-    ("--eta", "eta", "gradient step size"),
-    ("--clip-td", "clip_td", "clip TD errors to [-1, 1]"),
-    ("--is-weights", "use_is_weights", "importance weights on|off"),
-    ("--jobs", "jobs", "parallel worker processes (default: cpu count)"),
-    ("--out-dir", "out_dir", "output directory for runs.csv/summary.csv"),
-)
+def _flag_type(parse, *args):
+    """Flag type that reads its text as ``parse(*args, text)``; a ValueError's
+    message becomes the usage error."""
 
-
-def _value(key: str):
-    """Flag type that reads the text with the config file's parser."""
-
-    def parse(raw: str):
+    def read(raw: str):
         try:
-            return _parse_value(key, raw)
-        except SweepConfigError as exc:
+            return parse(*args, raw)
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
+    return read
+
+
+def _count(name: str, minimum: int, raw: str) -> int:
+    value = int(raw)
+    _check_count(name, value, minimum)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,22 +61,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the cliff-walk benchmark grid and write CSV results")
     sweep.add_argument("config", nargs="?", help="optional KEY = VALUE configuration file")
-    for flag, key, text in _SWEEP_FLAGS:
-        sweep.add_argument(flag, dest=key, type=_value(key), help=text)
+    # each flag reads its text as a config file reads its key
+    for setting in fields(SweepConfig):
+        flag = setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+        sweep.add_argument(
+            flag, dest=setting.name, type=_flag_type(_parse_value, setting.name), help=setting.metadata["help"]
+        )
 
     validate = sub.add_parser("validate", help="run the sampler micro-validation suite")
-    validate.add_argument("--draws", type=int, default=1_000_000, help="Monte Carlo draws per check")
-    validate.add_argument("--seed", type=int, default=0, help="base seed for the checks")
+    validate.add_argument(
+        "--draws", type=_flag_type(_count, "draws", VALIDATION_SLOTS), default=1_000_000,
+        help="Monte Carlo draws per check",
+    )
+    validate.add_argument("--seed", type=_flag_type(_count, "seed", 0), default=0, help="base seed for the checks")
     return parser
 
 
 def _sweep_command(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key) for _, key, _ in _SWEEP_FLAGS}
     try:
-        if args.config:
-            config = load_sweep_config(args.config, overrides)
-        else:
-            config = SweepConfig(**{k: v for k, v in overrides.items() if v is not None})
+        config = load_sweep_config(args.config, {f.name: getattr(args, f.name) for f in fields(SweepConfig)})
     except (SweepConfigError, OSError) as exc:
         print(f"replay-bench: configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR

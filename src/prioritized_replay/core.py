@@ -165,9 +165,9 @@ class PrioritizedMemory:
     assume a single writer: callers serialize store/update_priority/sample.
     """
 
-    def __init__(self, config: SamplerConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: SamplerConfig):
         self.config = config
-        self._rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(config.seed)
         self._transitions: list[Transition | None] = [None] * config.capacity
         self._cursor = 0
         self._size = 0
@@ -213,10 +213,8 @@ class PrioritizedMemory:
     def _rng_for(self, k: int, batches: int, rng: np.random.Generator | None) -> np.random.Generator:
         """``rng``, or the memory's own, for ``batches`` minibatches of ``k``:
         the one check of both counts and of an empty memory, before any draw."""
-        if k < 1:
-            raise ValueError("minibatch size must be positive")
-        if batches < 1:
-            raise ValueError("batch count must be positive")
+        _check_count("minibatch size", k)
+        _check_count("batch count", batches)
         if self._size == 0:
             raise ValueError("cannot sample from an empty memory")
         return self._rng if rng is None else rng

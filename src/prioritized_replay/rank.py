@@ -153,7 +153,8 @@ class Partition:
         return np.diff(np.asarray(self.cumulative, dtype=np.float64))
 
 
-@lru_cache(maxsize=256)
+# typed: True must not hit the entry of an equal 1
+@lru_cache(maxsize=256, typed=True)
 def build_partition(n: int, alpha: float, k: int) -> Partition:
     """Split ranks 1..n into k segments of near-equal mass under rank**-alpha.
 
@@ -162,8 +163,8 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
     (so k == n forces singleton segments). The deviation of a segment's mass
     from 1/k is bounded by the mass of a single boundary rank.
     """
-    if k < 1:
-        raise ValueError("segment count must be positive")
+    _check_count("segment count", k)
+    _check_count("rank count", n)
     if n < k:
         raise ValueError(f"cannot split {n} ranks into {k} segments")
     _check_nonnegative("alpha", alpha)
@@ -205,8 +206,8 @@ class RankSampler(PrioritizedMemory):
     sampler is designed around.
     """
 
-    def __init__(self, config: SamplerConfig, rng: np.random.Generator | None = None):
-        super().__init__(config, rng)
+    def __init__(self, config: SamplerConfig):
+        super().__init__(config)
         self.heap = RankStore(config.capacity, config.resort_interval)
         self._alpha = config.alpha
         self._partition: Partition | None = None

@@ -217,8 +217,8 @@ class ProportionalSampler(PrioritizedMemory):
     duplicates.
     """
 
-    def __init__(self, config: SamplerConfig, rng: np.random.Generator | None = None):
-        super().__init__(config, rng)
+    def __init__(self, config: SamplerConfig):
+        super().__init__(config)
         self.tree = SumTree(config.capacity)
         self._alpha = config.alpha
         self._epsilon = config.epsilon

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from prioritized_replay import SumTree, bench, cli
+from prioritized_replay import RunConfig, SumTree, bench, run_training
 from prioritized_replay.bench import (
     RAW_COLUMNS,
     SUMMARY_COLUMNS,
@@ -94,6 +95,14 @@ def test_config_validation():
     ):
         with pytest.raises(SweepConfigError):
             SweepConfig(**bad)
+    # a repeated grid value would run its cells twice; the message names the axis
+    for axis, repeated in (
+        ("sizes", (2, 2)),
+        ("strategies", ("uniform", "uniform")),
+        ("representations", ("tabular", "tabular")),
+    ):
+        with pytest.raises(SweepConfigError, match=f"{axis} must be distinct"):
+            SweepConfig(**{axis: repeated})
     SweepConfig(alpha=0.0, beta0=0.0, jobs=1)
     SweepConfig(beta0=1.0)
 
@@ -204,14 +213,37 @@ def test_lists_read_the_same_in_files_and_flags(tmp_path, key, text, value):
 
 
 def test_files_and_flags_take_the_sweep_configs_keys():
-    """A setting reaches the config, the flags and the text parser together."""
-    fields = {field.name for field in dataclasses.fields(SweepConfig)}
-    flags = {key for _, key, _ in cli._SWEEP_FLAGS}
-    parsed = (
-        bench._INT_TUPLE_KEYS | bench._STR_TUPLE_KEYS | bench._BOOL_KEYS
-        | bench._INT_KEYS | bench._FLOAT_KEYS | bench._STR_KEYS
-    )
-    assert fields == flags == parsed
+    """Each SweepConfig field is one setting: one sweep flag, and a key the
+    text parser reads; any other key is refused."""
+    keys = [field.name for field in dataclasses.fields(SweepConfig)]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        action.dest: action.option_strings
+        for action in subparsers.choices["sweep"]._actions
+        if action.dest not in ("help", "config")
+    }
+    assert flags == {
+        key: ["--is-weights" if key == "use_is_weights" else "--" + key.replace("_", "-")] for key in keys
+    }
+    texts = {
+        "sizes": ("2,4", (2, 4)),
+        "strategies": ("uniform", ("uniform",)),
+        "representations": ("linear", ("linear",)),
+        "seeds": ("3", (1, 2, 3)),
+        "budget": ("1000", 1000),
+        "alpha": ("0.5", 0.5),
+        "beta0": ("0.25", 0.25),
+        "eta": ("0.125", 0.125),
+        "clip_td": ("on", True),
+        "use_is_weights": ("off", False),
+        "jobs": ("2", 2),
+        "out_dir": ("results", "results"),
+    }
+    assert list(texts) == keys
+    for key, (text, value) in texts.items():
+        assert bench._parse_value(key, text) == value
+    with pytest.raises(SweepConfigError, match="unknown configuration key 'mystery'"):
+        bench._parse_value("mystery", "4")
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -237,6 +269,22 @@ def test_raw_rows_cover_the_grid(tiny_sweep):
     assert all(row["censored"] == "false" for row in raw_rows)
     assert all(int(row["updates"]) > 0 for row in raw_rows)
     assert all(int(row["transitions"]) == 2 ** (int(row["n"]) + 1) - 2 for row in raw_rows)
+    # skipped cells between run cells, on the pool path: each run's result
+    # lands on its own cell's row
+    config = SweepConfig(
+        sizes=(3, 13), strategies=("oracle", "uniform"), representations=("tabular",), seeds=(1, 2),
+        budget=1000, jobs=2,
+    )
+    raw_rows, _ = run_sweep(config)
+    assert len(raw_rows) == 8
+    for row in raw_rows:
+        if row["n"] == 13 and row["strategy"] == "oracle":
+            assert (row["updates"], row["censored"]) == ("", "skipped")
+            continue
+        result = run_training(
+            RunConfig(row["n"], row["strategy"], row["representation"], row["seed"], budget=1000)
+        )
+        assert (row["updates"], row["censored"]) == (result.updates, "false" if result.converged else "true")
 
 
 def test_rerun_is_identical_apart_from_wall_clock(tiny_sweep):
@@ -352,6 +400,22 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     bad.write_text("mystery = 4\n")
     assert main(["sweep", str(bad)]) == 1
     assert main(["not-a-command"]) == 1
+    # validate's draws fill at least one minibatch of its 16-slot checks, and
+    # seeds start at 0, as sweep seeds do
+    capsys.readouterr()
+    for flags, message in (
+        (["--draws", "0"], "draws must be an integer of at least 16, got 0"),
+        (["--draws", "-5"], "draws must be an integer of at least 16, got -5"),
+        (["--draws", "15"], "draws must be an integer of at least 16, got 15"),
+        (["--draws", "many"], "invalid literal"),
+        (["--seed", "-20"], "seed must be an integer of at least 0, got -20"),
+    ):
+        assert main(["validate", *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    for bad in (dict(draws=15), dict(draws=0), dict(draws=True), dict(seed=-20), dict(seed=1.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            validate_samplers(**bad)
 
 
 def test_cli_sweep_writes_files(tmp_path, capsys):

@@ -281,17 +281,35 @@ def test_sample_empty_memory_raises(sampler_cls):
 
 @pytest.mark.parametrize(
     "k, batches, message",
-    [(0, 5, "minibatch size"), (-1, 3, "minibatch size"), (4, 0, "batch count"), (4, -2, "batch count")],
+    [
+        (0, 5, "minibatch size"),
+        (-1, 3, "minibatch size"),
+        (True, 3, "minibatch size"),
+        (2.5, 3, "minibatch size"),
+        (np.float64(2.0), 3, "minibatch size"),
+        (4, 0, "batch count"),
+        (4, -2, "batch count"),
+        (4, True, "batch count"),
+        (4, 2.5, "batch count"),
+        (4, np.float64(2.0), "batch count"),
+    ],
 )
 def test_sample_many_rejects_a_bad_count_before_drawing(sampler_cls, k, batches, message):
     sampler = make_sampler(sampler_cls)
     for _ in range(8):
         sampler.store(TERMINAL)
+    sampler.sample(4, np.random.default_rng(1))
+    partition = vars(sampler).get("_partition")
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"{message} must be positive"):
+    with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
         sampler.sample_many(k, batches, rng=rng)
+    if message == "minibatch size":
+        # sample() meets the same check before the rank sampler's partition cache
+        with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
+            sampler.sample(k, rng)
     assert rng.bit_generator.state == before
+    assert vars(sampler).get("_partition") is partition
 
 
 def test_underfull_memory_samples_with_replacement(sampler_cls):

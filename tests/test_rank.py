@@ -263,6 +263,16 @@ def test_partition_rejects_more_segments_than_ranks():
         build_partition(3, 0.5, 4)
 
 
+def test_partition_rejects_a_count_that_is_not_an_integer():
+    # an equal int's cached entry must not answer for True or 2.0
+    build_partition(8, 0.7, 1)
+    build_partition(8, 0.7, 2)
+    for n, k in ((8, True), (8, 2.0), (8, 1.5), (8, 0), (True, 1), (8.0, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_partition(n, 0.7, k)
+    assert build_partition(8, 0.7, np.int64(2)).boundaries == build_partition(8, 0.7, 2).boundaries
+
+
 @pytest.mark.parametrize(
     "n,alpha,k",
     [(4096, 0.7, 16), (1000, 0.0, 10), (64, 1.0, 2), (1024, 0.5, 8), (512, 0.6, 4)],

@@ -5,14 +5,15 @@ stored transition (per strategy), computes its TD error, refreshes its
 priority where applicable, and takes one gradient step, checking the MSE
 against the ground-truth values after every update. The loop is generic over
 the value representation (tabular or linear with a shared bias feature).
-Uniform, greedy-TD and the two stochastic strategies share one replay loop and
-differ only in their selector: which slots it picks, how it weights them
-(stochastic strategies draw stratified minibatches and fold in
-importance-sampling weights, the others update with weight 1) and how a replay
-refreshes a priority. Oracle selection has its own vectorized loop.
+All five strategies share one replay loop and differ only in their selector:
+which slots it picks, how it weights them (stochastic strategies draw
+stratified minibatches and fold in importance-sampling weights, the others
+update with weight 1) and how a replay refreshes a priority. A selector ends a
+run, censored, by returning an empty batch; the hindsight oracle does so when
+a stall window passes without a new best error.
 
-Both loops keep the values as 2n cell values (cell 2 * state + action) plus,
-for the linear representation, one shared bias added to every cell. They run
+The loop keeps the values as 2n cell values (cell 2 * state + action) plus,
+for the linear representation, one shared bias added to every cell. It runs
 on plain Python floats with incrementally maintained squared error, so
 convergence can be checked after every update without a sweep; the
 arithmetic is cross-checked against the object model in ``tests/reference.py``.
@@ -139,21 +140,18 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
 
     loop_rng = np.random.default_rng(loop_seed)
     schedule = None
-    if config.strategy == "oracle":
-        updates, converged, final_mse = _loop_oracle(
-            config, spec, cells, has_bias, truth, theta, instrument
-        )
+    if config.strategy == "uniform":
+        selector = _UniformSelector(len(cells), loop_rng)
+    elif config.strategy == "greedy_td":
+        selector = _GreedySelector(len(cells), config.clip_td)
+    elif config.strategy == "oracle":
+        selector = _OracleSelector(config, spec, cells, has_bias, truth, theta)
     else:
-        if config.strategy == "uniform":
-            selector = _UniformSelector(len(cells), loop_rng)
-        elif config.strategy == "greedy_td":
-            selector = _GreedySelector(len(cells), config.clip_td)
-        else:
-            selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
-            schedule = selector.schedule
-        updates, converged, final_mse = _loop(
-            config, spec, cells, has_bias, truth, theta, selector, instrument
-        )
+        selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
+        schedule = selector.schedule
+    updates, converged, final_mse = _loop(
+        config, spec, cells, has_bias, truth, theta, selector, instrument
+    )
 
     wall_ms = (time.perf_counter() - start) * 1e3
     if instrument is not None:
@@ -185,9 +183,10 @@ def _exact_sums(cq, bq, truth_flat):
 
 class _Selector:
     """What the replay loop replays. ``next(updates)`` returns the next slots
-    and their IS weights (``None`` means weight 1); ``refresh(slot, td)``, when
-    set, takes each replayed slot's fresh TD error; ``describe(j, slot)`` adds
-    fields to the ``replay`` event of the batch's ``j``-th slot."""
+    and their IS weights (``None`` means weight 1), or no slots to end the
+    run; ``refresh(slot, td)``, when set, takes each replayed slot's fresh TD
+    error; ``describe(j, slot)`` adds fields to the ``replay`` event of the
+    batch's ``j``-th slot."""
 
     refresh = None
 
@@ -221,6 +220,70 @@ class _GreedySelector(_Selector):
 
     def refresh(self, slot: int, td_error: float) -> None:
         self.magnitudes[slot] = td_magnitude(td_error, self.clip)
+
+
+class _OracleSelector(_Selector):
+    """Hindsight selection: the slot whose replay leaves the least squared
+    error, replayed at weight 1. Every stored copy of a cell is identical, so
+    the post-update error of each of the 2n cells follows in closed form from
+    the rank-one step, and the first minimum over the cells, in order of their
+    lowest slot, is the lowest slot that reaches it: the pick of the reference
+    selector in ``tests/reference.py``, which tries every stored transition.
+    The selector applies each pick's step to its own copy of the values; the
+    loop takes the same step, bit for bit.
+
+    A deterministic run that stops improving can never converge: once a stall
+    window of updates passes without a new best error, an empty batch ends it.
+    A pick that moves no value would repeat until the window or the budget ran
+    out, so it is returned once as all of those repeats.
+    """
+
+    def __init__(self, config: RunConfig, spec: Cliffwalk, cells, has_bias, truth, theta):
+        first_slot = {}
+        for slot, c in enumerate(cells):
+            first_slot.setdefault(c, slot)
+        self.first_slot = first_slot
+        self.cells_by_first_slot = np.array(list(first_slot))  # dicts keep insertion order
+        self.reward = np.array([t.reward for t in spec.transitions])
+        self.discount = np.array([t.discount for t in spec.transitions])
+        self.next_state = np.array([t.next_state for t in spec.transitions])
+        self.n_cells = 2 * config.n_states
+        self.q_cells = theta[: self.n_cells].copy()
+        self.bias = float(theta[-1]) if has_bias else 0.0
+        self.has_bias = has_bias
+        self.truth = truth.reshape(-1)
+        self.eta = config.step_size
+        self.budget = config.budget
+        self.stall_window = max(2000, 4 * len(cells))
+        self.best_sse = np.inf
+        self.last_improvement = 0
+
+    def next(self, updates: int):
+        q = self.q_cells + self.bias
+        errors = q - self.truth
+        sse = float(errors @ errors)
+        if sse < self.best_sse:
+            self.best_sse = sse
+            self.last_improvement = updates
+        elif updates - self.last_improvement >= self.stall_window:
+            return [], None
+        boot = np.maximum(q[0::2], q[1::2])[self.next_state]
+        d = self.eta * (self.reward + self.discount * boot - q)
+        if self.has_bias:
+            s1 = float(errors.sum())
+            sse_after = sse + 2.0 * d * s1 + self.n_cells * d * d + (2.0 * errors + 3.0 * d) * d
+        else:
+            sse_after = sse + d * (2.0 * errors + d)
+        c = int(self.cells_by_first_slot[sse_after[self.cells_by_first_slot].argmin()])
+        step = float(d[c])
+        before = (self.q_cells[c], self.bias)
+        self.q_cells[c] += step
+        if self.has_bias:
+            self.bias += step
+        slot = self.first_slot[c]
+        if (self.q_cells[c], self.bias) == before:
+            return [slot] * (min(self.budget, self.last_improvement + self.stall_window) - updates), None
+        return [slot], None
 
 
 class _PrioritizedSelector(_Selector):
@@ -264,7 +327,9 @@ class _PrioritizedSelector(_Selector):
 
 def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
-    values converge or the budget runs out."""
+    values converge, the budget runs out or the selector returns an empty
+    batch. Convergence is tested after every update, never before the first,
+    on the incremental squared error, confirmed by an exact left-to-right sum."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
     next2 = [2 * t.next_state for t in spec.transitions]
@@ -283,6 +348,8 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     converged = False
     while updates < budget and not converged:
         slots, weights = selector.next(updates)
+        if not slots:
+            break
         for j, slot in enumerate(slots):
             c = cells[slot]
             g = discounts[c]
@@ -327,98 +394,3 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     if has_bias:
         theta[-1] = bq
     return updates, converged, sse / n_cells
-
-
-def _loop_oracle(config, spec, cells, has_bias, truth, theta, instrument):
-    """Hindsight selection, vectorized over the distinct state-action cells.
-
-    Every stored copy of a given (s, a) is identical here, so candidate
-    updates collapse onto the 2n cells and an update costs O(n); the
-    post-update error for each cell follows in closed form from the rank-one
-    structure of the step, and the first minimum over the cells, taken in
-    order of their lowest slot id, is the lowest slot that reaches it. The
-    picks match the reference selector in ``tests/reference.py``, which
-    tentatively applies every stored transition and restores the parameters
-    between candidates.
-
-    A run that stops improving ends, censored, once a stall window of updates
-    passes without a new best error. The loop is deterministic, so an update
-    that leaves the parameters unchanged would repeat until the window or the
-    budget ran out: the loop stops at such an update, reports the count the
-    repeats would have reached and emits their ``replay`` events unchanged.
-    """
-    n_cells = 2 * config.n_states
-    eta = config.step_size
-    budget = config.budget
-    threshold = config.mse_threshold
-
-    first_slot = {}
-    for slot, c in enumerate(cells):
-        first_slot.setdefault(c, slot)
-    cells_by_first_slot = np.array(list(first_slot))  # dicts keep insertion order
-    cell_reward = np.array([t.reward for t in spec.transitions])
-    cell_discount = np.array([t.discount for t in spec.transitions])
-    cell_next = np.array([t.next_state for t in spec.transitions])
-
-    q_cells = theta[:n_cells].copy()
-    bias = float(theta[-1]) if has_bias else 0.0
-    truth_flat = truth.reshape(-1)
-
-    # greedy selection is deterministic, so once the loss stops improving the
-    # run is in a limit cycle and can never converge; stop it early (censored)
-    stall_window = max(2000, 4 * len(cells))
-    best_sse = np.inf
-    last_improvement = 0
-
-    updates = 0
-    converged = False
-    while updates < budget:
-        q = q_cells + bias
-        errors = q - truth_flat
-        sse = float(errors @ errors)
-        if sse / n_cells < threshold:
-            converged = True
-            break
-        if sse < best_sse:
-            best_sse = sse
-            last_improvement = updates
-        elif updates - last_improvement >= stall_window:
-            break
-        s1 = float(errors.sum())
-        boot = np.maximum(q[0::2], q[1::2])[cell_next]
-        delta = cell_reward + cell_discount * boot - q
-        d = eta * delta
-        if has_bias:
-            sse_after = sse + 2.0 * d * s1 + n_cells * d * d + (2.0 * errors + 3.0 * d) * d
-        else:
-            sse_after = sse + d * (2.0 * errors + d)
-        i = int(sse_after[cells_by_first_slot].argmin())
-        c = int(cells_by_first_slot[i])
-        slot = first_slot[c]
-        step = float(d[c])
-        td_error = float(delta[c])
-        cell_before, bias_before = q_cells[c], bias
-        q_cells[c] += step
-        if has_bias:
-            bias += step
-        updates += 1
-        if instrument is not None:
-            instrument("replay", slot=slot, td_error=td_error, weight=1.0, step=updates)
-        if q_cells[c] == cell_before and bias == bias_before:
-            # a step too small to move either value leaves the state as it
-            # was, so every later update repeats it without improving: skip
-            # to where the budget or the stall window ends the run
-            stop = min(budget, last_improvement + stall_window)
-            if instrument is not None:
-                for later in range(updates + 1, stop + 1):
-                    instrument("replay", slot=slot, td_error=td_error, weight=1.0, step=later)
-            updates = stop
-            break
-
-    final = q_cells + bias - truth_flat
-    final_mse = float(final @ final) / n_cells
-    converged = converged or final_mse < threshold
-    theta[:n_cells] = q_cells
-    if has_bias:
-        theta[-1] = bias
-    return updates, converged, final_mse

@@ -298,14 +298,19 @@ def test_uniform_converges_at_two_states():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_fixed_point_is_absorbing(strategy, representation):
-    """From the ground truth every td error is zero, so nothing moves."""
+    """From the ground truth every td error is zero, so nothing moves; under
+    the default threshold every strategy's run tests convergence after its
+    first update, as all five share one loop, and stops there."""
     n = 4
     config = RunConfig(
         n_states=n, strategy=strategy, representation=representation, seed=2,
         budget=10_000, mse_threshold=0.0,
     )
-    result = run_training(config, initial_theta=truth_theta(n, bias=representation == "linear"))
+    truth = truth_theta(n, bias=representation == "linear")
+    result = run_training(config, initial_theta=truth)
     assert result.final_mse < 1e-9
+    result = run_training(replace(config, mse_threshold=RunConfig.mse_threshold), initial_theta=truth)
+    assert (result.updates, result.converged, result.final_mse) == (1, True, 0.0)
 
 
 def test_runs_are_deterministic_given_the_config():

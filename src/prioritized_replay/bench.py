@@ -88,8 +88,11 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _seeds(raw: str) -> tuple[int, ...]:
-    """A comma list, or a bare count N meaning seeds 1..N."""
-    return _ints(raw) if "," in raw else tuple(range(1, int(raw) + 1))
+    """A comma list, or a bare count N (at least 1) meaning seeds 1..N."""
+    if "," in raw:
+        return _ints(raw)
+    _check_count("seeds", int(raw))
+    return tuple(range(1, int(raw) + 1))
 
 
 def _setting(default, parse, help: str, flag: str | None = None):

@@ -30,10 +30,10 @@ class SumTree:
     them. ``node_touches`` counts node visits for complexity assertions; a
     write is charged its whole root path, as if refreshed at once.
 
-    ``set_leaf`` writes only the leaf. ``total``, ``nodes``, ``find_by_value``
-    and ``find_many`` first settle the pending writes, recomputing each
-    parent as the sum of its two final children, so what they read is bit for
-    bit the array a refresh on every write would hold. Reading them may
+    ``set_leaf`` writes only the leaf. ``total``, ``nodes`` and ``find_many``
+    first settle the pending writes, recomputing each parent as the sum of its
+    two final children, so what they read is bit for bit the array a refresh
+    on every write would hold. Reading them may
     therefore write to the array: they fall under the single-writer rule.
     """
 
@@ -120,21 +120,10 @@ class SumTree:
                 nodes[node] = nodes[left] + nodes[left + 1]
         stale.clear()
 
-    def find_by_value(self, value: float) -> int:
-        """Leaf whose half-open cumulative interval [prefix, prefix + p) contains ``value``.
-
-        Descends left when ``value`` falls below the left child's sum and
-        otherwise subtracts that sum and descends right, so a value exactly on
-        a boundary belongs to the right neighbor.
-        """
-        total = self._mass()
-        if not 0.0 <= value < total:
-            raise ValueError(f"value {value!r} outside [0, {total!r})")
-        return self._descend([value])[0]
-
     def _descend(self, values: list[float]) -> list[int]:
-        """:meth:`find_by_value` for each of ``values``, which the caller has
-        checked against a settled tree's total."""
+        """The leaf whose half-open cumulative interval [prefix, prefix + p)
+        holds each of ``values``, checked by the caller against a settled
+        tree's total; a value on a boundary belongs to the right neighbor."""
         # Python floats over the array's own buffer, as in _settle
         nodes = self._nodes.data
         levels = self.levels
@@ -155,7 +144,7 @@ class SumTree:
         return leaves
 
     def find_many(self, values) -> np.ndarray:
-        """Vectorized :meth:`find_by_value` over an array of queries, in its shape.
+        """Vectorized :meth:`_descend` over an array of checked queries, in its shape.
 
         Chunks of ``_BULK_CHUNK`` queries descend in place in buffers made once per
         call. A level steps right on ``r = value >= left_sum`` and subtracts

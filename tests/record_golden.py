@@ -96,7 +96,7 @@ def event_digests() -> dict:
             whole.update(text)
             blocks.append(hashlib.sha256(text).hexdigest()[:12])
         runs[_label(config)] = {"events": len(events), "blocks": blocks}
-    return {"sha256": whole.hexdigest(), "runs": runs}
+    return {"runs": runs, "sha256": whole.hexdigest()}
 
 
 def validation() -> dict:
@@ -106,7 +106,7 @@ def validation() -> dict:
     digest = hashlib.sha256()
     for check in checks:
         digest.update(repr(check).encode())
-    return {"sha256": digest.hexdigest(), "checks": [list(check) for check in checks]}
+    return {"checks": [list(check) for check in checks], "sha256": digest.hexdigest()}
 
 
 def sampler_draws() -> dict:

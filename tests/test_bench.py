@@ -65,7 +65,7 @@ def test_oracle_skipped_beyond_the_cap():
     assert [c.skipped for c in cells] == [False, True]
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(SweepConfigError):
         SweepConfig(sizes=(1,))
     with pytest.raises(SweepConfigError):
@@ -105,6 +105,14 @@ def test_config_validation():
             SweepConfig(**{axis: repeated})
     SweepConfig(alpha=0.0, beta0=0.0, jobs=1)
     SweepConfig(beta0=1.0)
+    # a bare seed count below 1 is named as such, in files and in flags
+    path = tmp_path / "sweep.cfg"
+    path.write_text("seeds = 0\n")
+    with pytest.raises(SweepConfigError, match="sweep.cfg:1: seeds must be an integer of at least 1, got 0"):
+        load_sweep_config(path)
+    for count in ("0", "-3"):
+        assert main(["sweep", "--seeds", count]) == 1
+        assert f"seeds must be an integer of at least 1, got {count}" in capsys.readouterr().err
 
 
 def test_an_empty_grid_is_rejected():

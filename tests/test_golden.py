@@ -25,9 +25,9 @@ def _host_note() -> str:
 
 
 def _first_difference(recorded, computed, path: str = ""):
-    """The path and both values of the first entry, in recorded order, that differs."""
+    """The path and both values of the first entry, in computed order, that differs."""
     if isinstance(recorded, dict) and isinstance(computed, dict):
-        for key in [*recorded, *(key for key in computed if key not in recorded)]:
+        for key in [*computed, *(key for key in recorded if key not in computed)]:
             found = _first_difference(recorded.get(key), computed.get(key), f"{path} / {key}")
             if found:
                 return found

@@ -84,7 +84,6 @@ def test_internal_nodes_equal_child_sums_after_random_updates():
     reads = (
         lambda tree: tree.total,
         lambda tree: tree.nodes,
-        lambda tree: tree.find_by_value(0.0),
         lambda tree: tree.find_many([0.0]),
     )
     for capacity in (1, 2, 5, 32, 512, 4096):
@@ -132,7 +131,7 @@ def test_writes_reach_a_rebound_or_unpickled_array():
     clone = pickle.loads(pickle.dumps(tree))
     clone.set_leaf(3, 0.0)
     assert (clone.total, tree.total) == (10.0, 14.0)
-    assert clone.find_by_value(9.9) == 2
+    assert clone.find_many([9.9]).tolist() == [2]
     # pickled with writes pending: the clone settles them itself
     clone = pickle.loads(pickle.dumps(filled_tree([1, 2, 3, 4])))
     assert same_bits(clone.nodes, eager_nodes(4, enumerate([1, 2, 3, 4])))
@@ -141,31 +140,22 @@ def test_writes_reach_a_rebound_or_unpickled_array():
 # -- value lookup ---------------------------------------------------------------
 
 
-def test_find_by_value_examples():
+def test_find_many_examples():
     tree = filled_tree([1, 2, 3, 4])
-    assert tree.find_by_value(0.5) == 0
-    assert tree.find_by_value(6.5) == 3
+    assert tree.find_many([0.5, 6.5]).tolist() == [0, 3]
     # boundary values belong to the right neighbor (half-open intervals)
-    assert tree.find_by_value(3.0) == 2
-    assert tree.find_by_value(0.0) == 0
-    assert tree.find_by_value(1.0) == 1
+    assert tree.find_many([3.0, 0.0, 1.0]).tolist() == [2, 0, 1]
 
 
 def test_find_skips_zero_leaves():
     tree = filled_tree([0, 1, 0, 2])
-    assert tree.find_by_value(0.9) == 1
-    assert tree.find_by_value(1.0) == 3
+    assert tree.find_many([0.9, 1.0]).tolist() == [1, 3]
 
 
 def test_find_rejects_out_of_range_and_empty():
     tree = filled_tree([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        tree.find_by_value(-0.1)
-    with pytest.raises(ValueError):
-        tree.find_by_value(10.0)
-    empty = SumTree(4)
-    with pytest.raises(ValueError):
-        empty.find_by_value(0.0)
+    with pytest.raises(ValueError, match="no positive mass"):
+        SumTree(4).find_many([0.0])
     for bad in ([-0.1], [10.0], [1.0, np.nan]):
         with pytest.raises(ValueError, match="query values"):
             tree.find_many(bad)
@@ -175,9 +165,7 @@ def test_find_many_matches_scalar_find():
     rng = np.random.default_rng(1)
     tree = filled_tree(rng.uniform(0, 3, 16))
     queries = rng.uniform(0, tree.total * (1 - 1e-12), 200)
-    batch = tree.find_many(queries)
-    for q, leaf in zip(queries, batch):
-        assert tree.find_by_value(float(q)) == leaf
+    assert tree.find_many(queries).tolist() == tree._descend(queries.tolist())
 
 
 def test_find_agrees_with_linear_scan_on_random_trees():
@@ -201,8 +189,9 @@ def test_operation_touch_counts_are_logarithmic():
     before = tree.node_touches
     tree.set_leaf(17, 1.0)
     assert tree.node_touches - before == tree.levels + 1  # the root path, exactly
+    tree.total  # settles the write, as a draw does before its walk
     before = tree.node_touches
-    tree.find_by_value(0.5)
+    tree._descend([0.5])
     assert tree.node_touches - before <= bound
     before = tree.node_touches
     tree.find_many(np.full(5, 0.25))
@@ -218,7 +207,7 @@ def test_find_many_keeps_the_query_shape_and_charges_two_nodes_per_level(shape):
     found = tree.find_many(queries)
     assert (found.shape, found.dtype) == (shape, np.int64)
     assert tree.node_touches - before == 2 * tree.levels * queries.size
-    assert found.ravel().tolist() == [tree.find_by_value(q) for q in queries.ravel().tolist()]
+    assert found.ravel().tolist() == tree._descend(queries.ravel().tolist())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -234,7 +223,6 @@ def test_an_overflowed_total_is_rejected():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     for descend in (
-        lambda: tree.find_by_value(1.0),
         lambda: tree.find_many([1.0]),
         lambda: sampler._draw(4, rng),
         lambda: sampler.sample(4, rng=rng),

@@ -154,7 +154,7 @@ def test_fast_oracle_loop_matches_the_reference_selector():
     # (n, representation, seed, budget, whether the test passes an initial theta)
     cases = [(n, r, 5, 120, True) for n, r in itertools.product(range(3, 7), REPRESENTATIONS)]
     # the seed-2 n = 5 linear run from its own initial theta stops moving at
-    # update 191, so the picks are also checked across the skipped repeats
+    # update 191, so the picks are also checked across its repeats
     cases.append((5, "linear", 2, 400, False))
     for n, representation, seed, budget, given_theta in cases:
         config = RunConfig(
@@ -254,8 +254,8 @@ def test_stochastic_regression_at_eight_states():
 
 def test_stalled_oracle_run_ends_at_its_fixed_point_as_the_window_would():
     """The seed-1 n = 8 linear run stops moving at update 1,017 and its stall
-    window closes at 3,055; the skipped updates still count and still emit
-    their replay events, and the budget still caps the run."""
+    window closes at 3,055; the repeated no-op updates count and emit their
+    replay events, and the budget still caps the run."""
     config = RunConfig(n_states=8, strategy="oracle", representation="linear", seed=1)
     for budget, updates in ((config.budget, 3055), (2000, 2000)):
         events = []

@@ -53,7 +53,12 @@ class RankStore:
         return 0 <= slot < len(self._pos) and self._pos[slot] >= 0
 
     def key_of(self, slot: int) -> float:
-        return self._keys[self._pos[slot]]
+        if not 0 <= slot < len(self._pos):
+            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")
+        i = self._pos[slot]
+        if i < 0:
+            raise KeyError(f"slot {slot} not present")
+        return self._keys[i]
 
     def keys(self) -> list[float]:
         return list(self._keys)
@@ -65,13 +70,19 @@ class RankStore:
         return np.asarray(self._slots, dtype=np.int64)
 
     def insert(self, slot: int, key: float) -> None:
-        if slot in self:
+        if not 0 <= slot < len(self._pos):
+            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")
+        if self._pos[slot] >= 0:
             raise ValueError(f"slot {slot} already present")
         self._keys.append(key)
         self._slots.append(slot)
         self._sift(len(self._keys) - 1, slot, key)
 
     def update(self, slot: int, key: float) -> None:
+        # a negative slot would index _pos from its end; one past its end
+        # fails the lookup below, before anything changes
+        if slot < 0:
+            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")
         i = self._pos[slot]
         if i < 0:
             raise KeyError(f"slot {slot} not present")

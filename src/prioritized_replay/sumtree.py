@@ -31,9 +31,10 @@ class SumTree:
     write is charged its whole root path, as if refreshed at once.
 
     ``set_leaf`` writes only the leaf. ``total``, ``nodes`` and ``find_many``
-    first settle the pending writes, recomputing each parent as the sum of its
-    two final children, so what they read is bit for bit the array a refresh
-    on every write would hold. Reading them may
+    first settle the pending writes, by a numpy walk over their ancestors or,
+    from ``_crossover`` of them on, by :meth:`rebuild`. Either recomputes each
+    parent as the sum of its two final children, so what they read is bit for
+    bit the array a refresh on every write would hold. Reading them may
     therefore write to the array: they fall under the single-writer rule.
     """
 
@@ -49,12 +50,12 @@ class SumTree:
         # node ids of the leaves written since the last settle
         self._stale: list[int] = []
         # Settling this many stale leaves by walking their ancestors costs
-        # about as much as one rebuild: a walk refreshes up to `levels` nodes
-        # per stale leaf, while a rebuild costs about 5 node refreshes per
-        # level in numpy call overhead plus 1/200 of one per leaf (measured
-        # on a 2-vCPU x86 host over capacities 2^9 to 2^18 and batches of 16
-        # to 36 leaves)
-        self._crossover = 5 + cap // (200 * max(self.levels, 1))
+        # about as much as one rebuild: a walk costs about 3 us per level plus
+        # 16.5 ns per stale leaf and level, a rebuild 1.7 us per level plus
+        # 1.15 ns per leaf (fitted to settles timed on a 2-vCPU x86 host over
+        # capacities 2^9 to 2^18 and 1 to 512 stale leaves); below 2^15 leaves
+        # a rebuild always wins
+        self._crossover = max(1, cap // (15 * max(self.levels, 1)) - 80)
         # the largest leaf value: a power-of-two share of the float maximum,
         # so every node stays at or below its subtree's share, rounding
         # included, and no sum overflows to inf
@@ -107,24 +108,23 @@ class SumTree:
         if len(stale) >= self._crossover:
             self.rebuild()
             return
-        # Python floats over the array's own buffer: numpy's per-call
-        # overhead costs several times the arithmetic of one node
-        nodes = self._nodes.data
-        level = stale
-        for _ in range(self.levels):
-            level = {(node - 1) >> 1 for node in level}
-            for node in level:
-                left = 2 * node + 1
-                # recompute from both children rather than propagating a delta
-                # so internal sums cannot drift over long runs
-                nodes[node] = nodes[left] + nodes[left + 1]
+        # row d holds every stale leaf's ancestor d + 1 levels up; all leaves
+        # sit at one depth, so a row's children are final before it is
+        # written, and a leaf written twice writes the same sums twice
+        parents = ((np.array(stale) + 1) >> np.arange(1, self.levels + 1)[:, None]) - 1
+        left = 2 * parents + 1
+        nodes = self._nodes
+        for parent, left_child, right_child in zip(parents, left, left + 1):
+            # recompute from both children rather than propagating a delta
+            # so internal sums cannot drift over long runs
+            nodes[parent] = nodes[left_child] + nodes[right_child]
         stale.clear()
 
     def _descend(self, values: list[float]) -> list[int]:
         """The leaf whose half-open cumulative interval [prefix, prefix + p)
         holds each of ``values``, checked by the caller against a settled
         tree's total; a value on a boundary belongs to the right neighbor."""
-        # Python floats over the array's own buffer, as in _settle
+        # Python floats over the array's own buffer: cheaper than a numpy call per node
         nodes = self._nodes.data
         levels = self.levels
         offset = self.capacity - 1

@@ -66,6 +66,32 @@ def test_updating_with_an_equal_key_keeps_the_position():
     assert rank_of(store, 1) == position
 
 
+def test_a_slot_out_of_range_is_refused_before_anything_changes():
+    """A negative slot would index the inverse index from its end, and one
+    past the capacity would be appended before failing: every call refuses
+    both first, and a slot in range that is absent is a KeyError for key_of."""
+    store = RankStore(capacity=4)
+    for slot, key in enumerate([5.0, 3.0, 4.0, 1.0]):
+        store.insert(slot, key)
+    before = (store.keys(), store.slots(), list(store._pos), store.steps_since_sort)
+    for call in (
+        lambda: store.update(-1, 10.0),
+        lambda: store.update(4, 10.0),
+        lambda: store.insert(7, 2.0),
+        lambda: store.insert(-1, 2.0),
+        lambda: store.key_of(-1),
+        lambda: store.key_of(4),
+    ):
+        with pytest.raises(IndexError, match="out of range"):
+            call()
+        assert (store.keys(), store.slots(), list(store._pos), store.steps_since_sort) == before
+    sparse = RankStore(capacity=4)
+    sparse.insert(0, 1.0)
+    with pytest.raises(KeyError):
+        sparse.key_of(3)
+    assert store.key_of(3) == 1.0
+
+
 def test_resort_interval_triggers_a_full_sort():
     store = RankStore(capacity=16, resort_interval=3)
     rng = np.random.default_rng(2)

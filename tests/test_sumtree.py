@@ -41,6 +41,14 @@ def eager_nodes(capacity, writes):
     return np.array(nodes)
 
 
+def rebuilt(leaf_values):
+    """The nodes over ``leaf_values``, each parent the sum of its two children, level by level."""
+    levels = [np.array(leaf_values, dtype=np.float64)]
+    while levels[-1].size > 1:
+        levels.append(levels[-1][0::2] + levels[-1][1::2])
+    return np.concatenate(levels[::-1])
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -77,30 +85,57 @@ def test_capacity_rounds_up_to_power_of_two():
 
 def test_internal_nodes_equal_child_sums_after_random_updates():
     """Whichever read settles them, pending writes leave the array a refresh
-    on every write gives, bit for bit: batches of 1 to 4 writes are walked,
-    16 and 36 rebuild small trees and walk large ones, and capacity + 3 also
-    makes set_leaf rebuild on its own."""
+    on every write gives, bit for bit. Below 2^15 leaves every batch settles
+    by rebuild(); at 2^16 every batch but capacity + 3 is walked, including
+    36 writes to 3 leaves, which must repeat leaves; capacity + 3 also makes
+    set_leaf rebuild on its own."""
     rng = np.random.default_rng(0)
     reads = (
         lambda tree: tree.total,
         lambda tree: tree.nodes,
         lambda tree: tree.find_many([0.0]),
     )
-    for capacity in (1, 2, 5, 32, 512, 4096):
+    assert SumTree(1 << 16)._crossover > 36
+    for capacity in (1, 2, 5, 32, 512, 4096, 1 << 16):
         for read in reads:
             tree = SumTree(capacity)
             reference = [0.0] * (2 * tree.capacity - 1)
-            for batch in (1, 2, 3, 4, 16, 36, tree.capacity + 3, 1, 16):
+            cap = tree.capacity
+            # (writes, the leaves they are drawn from)
+            batches = [(b, cap) for b in (1, 2, 3, 4, 16, 36)] + [(36, 3), (cap + 3, cap), (1, cap), (16, cap)]
+            for batch, spread in batches:
                 for _ in range(batch):
-                    index, value = int(rng.integers(tree.capacity)), float(rng.uniform(0, 5))
+                    index, value = int(rng.integers(min(spread, cap))), float(rng.uniform(0, 5))
                     tree.set_leaf(index, value)
                     eager_write(reference, index, value)
                 read(tree)
                 # the read itself settled the array
-                assert same_bits(tree._nodes, np.array(reference)), (capacity, batch)
+                assert same_bits(tree._nodes, np.array(reference)), (capacity, batch, spread)
             nodes = tree.nodes
             for node in range(tree.capacity - 1):
                 assert nodes[node] == nodes[2 * node + 1] + nodes[2 * node + 2]
+
+
+def test_a_stream_sized_window_settles_by_the_walk(monkeypatch):
+    """36 stale leaves over 2^18 (perfbench stream's writes between two draws)
+    settle by the walk, never by rebuild(), to the array a rebuild gives."""
+    rng = np.random.default_rng(5)
+    tree = SumTree(1 << 18)
+    tree._nodes[tree.capacity - 1 :] = rng.uniform(0, 5, tree.capacity)
+    tree.rebuild()
+    writes = [(int(i), float(v)) for i, v in zip(rng.integers(tree.capacity, size=30), rng.uniform(0, 5, 30))]
+    writes += [(index, value + 1.0) for index, value in writes[:6]]  # six leaves written twice
+    for index, value in writes:
+        tree.set_leaf(index, value)
+    expected = rebuilt(tree._nodes[tree.capacity - 1 :])
+
+    def refused():
+        raise AssertionError("settled by rebuild()")
+
+    monkeypatch.setattr(SumTree, "rebuild", refused)
+    assert len(tree._stale) == 36
+    tree.total
+    assert tree._stale == [] and same_bits(tree._nodes, expected)
 
 
 def test_set_leaf_rejects_bad_input():

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import Transition
+from .core import Transition, _check_count
 
 __all__ = [
     "MAX_STATES",
@@ -38,8 +38,7 @@ class Cliffwalk:
     n_states: int
 
     def __post_init__(self) -> None:
-        if self.n_states < 2:
-            raise ValueError("the chain needs at least 2 states")
+        _check_count("n_states", self.n_states, 2)
 
     @property
     def gamma(self) -> float:

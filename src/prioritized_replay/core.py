@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,24 +60,21 @@ class Transition:
 class SamplerConfig:
     """Settings shared by both prioritized samplers.
 
-    ``epsilon`` only matters for the proportional variant (it keeps zero-error
-    transitions samplable) and ``resort_interval`` only for the rank variant.
+    ``epsilon``, the floor the proportional variant adds to |td| so that
+    zero-error transitions stay samplable, is a constant, not a setting.
     """
 
     capacity: int
     alpha: float = 0.6
-    epsilon: float = DEFAULT_EPSILON
     minibatch: int = 16
-    resort_interval: int = 1_000_000
     clip_td: bool = False
     seed: int = 0
+    epsilon: ClassVar[float] = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         _check_count("capacity", self.capacity)
         _check_nonnegative("alpha", self.alpha)
-        _check_positive("epsilon", self.epsilon)
         _check_count("minibatch", self.minibatch)
-        _check_count("resort_interval", self.resort_interval)
 
 
 @dataclass

@@ -26,31 +26,29 @@ __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
 # fraction of the count it was built for.
 PARTITION_REUSE_TOLERANCE = 0.10
 
+# Heap updates between two full sorts of the heap array.
+RESORT_INTERVAL = 1_000_000
+
 
 class RankStore:
     """Array-backed binary max-heap of (|td| key, slot id) pairs.
 
     Heap positions double as approximate ranks: position 0 is rank 1. Every
     key update sifts the entry and bumps ``steps_since_sort``; once that
-    counter reaches ``resort_interval`` the array is fully sorted (which also
+    counter reaches ``RESORT_INTERVAL`` the array is fully sorted (which also
     restores exact ranks) and the counter resets. The inverse index
     ``slot -> position`` is maintained through every move.
     """
 
-    def __init__(self, capacity: int, resort_interval: int = 1_000_000):
+    def __init__(self, capacity: int):
         _check_count("capacity", capacity)
-        _check_count("resort_interval", resort_interval)
         self._keys: list[float] = []
         self._slots: list[int] = []
         self._pos: list[int] = [-1] * capacity
-        self.resort_interval = resort_interval
         self.steps_since_sort = 0
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __contains__(self, slot: int) -> bool:
-        return 0 <= slot < len(self._pos) and self._pos[slot] >= 0
 
     def key_of(self, slot: int) -> float:
         if not 0 <= slot < len(self._pos):
@@ -65,9 +63,6 @@ class RankStore:
 
     def slots(self) -> list[int]:
         return list(self._slots)
-
-    def slots_array(self) -> np.ndarray:
-        return np.asarray(self._slots, dtype=np.int64)
 
     def insert(self, slot: int, key: float) -> None:
         if not 0 <= slot < len(self._pos):
@@ -88,7 +83,7 @@ class RankStore:
             raise KeyError(f"slot {slot} not present")
         self._sift(i, slot, key)
         self.steps_since_sort += 1
-        if self.steps_since_sort >= self.resort_interval:
+        if self.steps_since_sort >= RESORT_INTERVAL:
             self.sort()
 
     def sort(self) -> None:
@@ -219,7 +214,7 @@ class RankSampler(PrioritizedMemory):
 
     def __init__(self, config: SamplerConfig):
         super().__init__(config)
-        self.heap = RankStore(config.capacity, config.resort_interval)
+        self.heap = RankStore(config.capacity)
         self._alpha = config.alpha
         self._partition: Partition | None = None
         # (first rank, rank count, cumulative mass at start, mass) per segment
@@ -295,7 +290,7 @@ class RankSampler(PrioritizedMemory):
         knots = np.asarray(self.partition_for(k).cumulative)
         lo, counts, knot, span = (np.array(column) for column in zip(*self._pieces))
         top, counts = lo + counts - 1, counts.astype(np.float64)
-        heap_slots = self.heap.slots_array()
+        heap_slots = np.asarray(self.heap._slots, dtype=np.int64)
         # stratum j's values u = (j + r) / k lie in [fl(j/k), fl((j+1)/k)], so
         # u's piece is the stratum's first piece plus the number of knots
         # inside the stratum (above fl(j/k), up to fl((j+1)/k)) that u reaches

@@ -173,7 +173,7 @@ def test_criterion_6_conservation_and_structure():
     check = check_tree_conservation(tree=tree, threshold=1e-6)
     assert check.passed, check.line()
 
-    store = RankStore(capacity=128, resort_interval=10**9)
+    store = RankStore(capacity=128)
     for slot in range(128):
         store.insert(slot, float(rng.uniform(0, 1)))
         assert store.heap_ordered()

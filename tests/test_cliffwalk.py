@@ -54,9 +54,11 @@ def test_step_validates_inputs():
         spec.step(0, 2)
 
 
-def test_chain_needs_two_states():
-    with pytest.raises(ValueError):
-        Cliffwalk(1)
+@pytest.mark.parametrize("bad", [2.5, 4.0, "4", True, 1])
+def test_chain_needs_a_whole_number_of_at_least_two_states(bad):
+    """Refused at construction, before gamma or the transition table is read."""
+    with pytest.raises(ValueError, match="n_states"):
+        Cliffwalk(bad)
 
 
 def test_transition_table_holds_one_step_per_cell():

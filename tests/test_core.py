@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import leaves
 
 from prioritized_replay import (
+    DEFAULT_EPSILON,
     AnnealSchedule,
     ProportionalSampler,
     RankSampler,
@@ -19,6 +20,7 @@ from prioritized_replay import (
     sampling_probabilities,
     td_magnitude,
 )
+from prioritized_replay import rank
 
 TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
@@ -113,9 +115,11 @@ def test_transition_rejects_bad_fields(kwargs):
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(capacity=0)
-    for bad_epsilon in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            SamplerConfig(capacity=4, epsilon=bad_epsilon)
+    # the floor and the re-sort interval are constants, not settings
+    for setting in ("epsilon", "resort_interval"):
+        with pytest.raises(TypeError):
+            SamplerConfig(capacity=4, **{setting: 1})
+    assert SamplerConfig(capacity=4).epsilon == DEFAULT_EPSILON
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, alpha=-1.0)
     for bad_alpha in (float("nan"), float("inf"), -float("inf")):
@@ -130,9 +134,7 @@ def test_every_count_must_be_a_positive_whole_number(bad):
     for make in (
         lambda v: SamplerConfig(capacity=v),
         lambda v: SamplerConfig(capacity=4, minibatch=v),
-        lambda v: SamplerConfig(capacity=4, resort_interval=v),
         lambda v: AnnealSchedule(0.5, 1.0, v),
-        lambda v: RankStore(capacity=4, resort_interval=v),
         lambda v: RankStore(capacity=v),
         lambda v: SumTree(v),
     ):
@@ -148,7 +150,7 @@ def test_numpy_integer_counts_are_accepted():
     assert SumTree(np.int64(5)).capacity == 8
     store = RankStore(capacity=np.int64(5))
     store.insert(4, 1.0)
-    assert 4 in store
+    assert store.key_of(4) == 1.0
     assert AnnealSchedule(0.5, 1.0, np.int64(4)).value(2) == 0.75
 
 
@@ -392,61 +394,71 @@ OPERATIONS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(capacity=st.integers(1, 12), clip=st.booleans(), ops=st.lists(OPERATIONS, min_size=1, max_size=60))
+# most generated sequences make fewer than 7 heap updates; this one makes 8,
+# with draws after the re-sort
+@example(capacity=3, clip=False, ops=[("store",)] * 3 + [("update", 1, -2.0), ("store",), ("sample", 2)] * 4)
 def test_samplers_match_a_naive_model(capacity, clip, ops):
     """Random store/update/sample sequences against a list of priorities:
     every priority and the running maximum match after each step, and the
     proportional sampler's tree equals one built from its leaves."""
-    for cls in (ProportionalSampler, RankSampler):
-        config = SamplerConfig(capacity=capacity, alpha=0.6, minibatch=4, clip_td=clip, resort_interval=7)
-        sampler = cls(config)
-        epsilon = config.epsilon if cls is ProportionalSampler else 0.0
-        model: list[float | None] = [None] * capacity
-        top, cursor, alpha = 1.0, 0, config.alpha
-        for op, *args in ops:
-            if op == "store":
-                assert sampler.store(TERMINAL) == cursor
-                model[cursor] = top
-                cursor = (cursor + 1) % capacity
-            elif op == "update":
-                pick, value = args
-                slot = pick % (len(sampler) + 2) - 1
-                priority = (min(abs(value), 1.0) if clip else abs(value)) + epsilon
-                if not (0 <= slot < capacity and model[slot] is not None):
-                    with pytest.raises(KeyError):
-                        sampler.update_priority(slot, value)
-                    continue
-                sampler.update_priority(slot, value)
-                model[slot] = priority
-                top = max(top, priority)
-            elif op == "sample":
-                if model[0] is None:
-                    with pytest.raises(ValueError):
-                        sampler.sample(args[0])
-                    continue
-                batch = sampler.sample(args[0])
-                assert all(model[slot] is not None for slot in batch.indices)
-                if cls is ProportionalSampler:
-                    tree = sampler.tree
-                    assert batch.probabilities.tolist() == [leaves(tree)[s] / tree.total for s in batch.indices]
-            assert len(sampler) == sum(p is not None for p in model)
-            if cls is RankSampler and sampler._partition is not None:
-                # the draws index ranks without clamping them to the live count
-                assert sampler._partition.size <= len(sampler)
-            assert sampler.max_priority == top
-            for slot, priority in enumerate(model):
-                if priority is not None:
-                    assert sampler.priority(slot) == priority
-            if cls is ProportionalSampler:
-                tree = sampler.tree
-                expected = [0.0] * tree.capacity
+    config = SamplerConfig(capacity=capacity, alpha=0.6, minibatch=4, clip_td=clip)
+    samplers = (ProportionalSampler(config), RankSampler(config))
+    # a re-sort every 7 heap updates, so sorts fall inside the sequences; set
+    # after the heap exists, since it reads the interval at each update
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "RESORT_INTERVAL", 7)
+        for sampler in samplers:
+            cls = type(sampler)
+            epsilon = config.epsilon if cls is ProportionalSampler else 0.0
+            model: list[float | None] = [None] * capacity
+            top, cursor, alpha = 1.0, 0, config.alpha
+            for op, *args in ops:
+                if op == "store":
+                    assert sampler.store(TERMINAL) == cursor
+                    model[cursor] = top
+                    cursor = (cursor + 1) % capacity
+                elif op == "update":
+                    pick, value = args
+                    slot = pick % (len(sampler) + 2) - 1
+                    priority = (min(abs(value), 1.0) if clip else abs(value)) + epsilon
+                    if not (0 <= slot < capacity and model[slot] is not None):
+                        with pytest.raises(KeyError):
+                            sampler.update_priority(slot, value)
+                        continue
+                    sampler.update_priority(slot, value)
+                    model[slot] = priority
+                    top = max(top, priority)
+                elif op == "sample":
+                    if model[0] is None:
+                        with pytest.raises(ValueError):
+                            sampler.sample(args[0])
+                        continue
+                    batch = sampler.sample(args[0])
+                    assert all(model[slot] is not None for slot in batch.indices)
+                    if cls is ProportionalSampler:
+                        tree = sampler.tree
+                        assert batch.probabilities.tolist() == [leaves(tree)[s] / tree.total for s in batch.indices]
+                assert len(sampler) == sum(p is not None for p in model)
+                if cls is RankSampler:
+                    assert sampler.heap.steps_since_sort < 7
+                    if sampler._partition is not None:
+                        # the draws index ranks without clamping them to the live count
+                        assert sampler._partition.size <= len(sampler)
+                assert sampler.max_priority == top
                 for slot, priority in enumerate(model):
                     if priority is not None:
-                        expected[slot] = priority**alpha
-                # the raw array's leaves, read without settling, so writes stay pending until a read
-                assert tree._nodes[tree.capacity - 1 :].tolist() == expected
-                if op in ("sample", "read"):
-                    assert tree.nodes.tobytes() == pairwise_tree(expected).tobytes()
-        if cls is ProportionalSampler:
-            assert sampler.tree.nodes.tobytes() == pairwise_tree(leaves(sampler.tree)).tobytes()
-        else:
-            assert sampler.heap.heap_ordered()
+                        assert sampler.priority(slot) == priority
+                if cls is ProportionalSampler:
+                    tree = sampler.tree
+                    expected = [0.0] * tree.capacity
+                    for slot, priority in enumerate(model):
+                        if priority is not None:
+                            expected[slot] = priority**alpha
+                    # the raw array's leaves, read without settling, so writes stay pending until a read
+                    assert tree._nodes[tree.capacity - 1 :].tolist() == expected
+                    if op in ("sample", "read"):
+                        assert tree.nodes.tobytes() == pairwise_tree(expected).tobytes()
+            if cls is ProportionalSampler:
+                assert sampler.tree.nodes.tobytes() == pairwise_tree(leaves(sampler.tree)).tobytes()
+            else:
+                assert sampler.heap.heap_ordered()

@@ -11,17 +11,16 @@ from prioritized_replay import (
     build_partition,
     sampling_probabilities,
 )
+from prioritized_replay import rank
 from prioritized_replay.core import _BULK_CHUNK
 from reference import piece_probabilities
 
 TERMINAL = Transition(0, 0, 0.0, 0.0, 0, is_terminal=True)
 
 
-def prepared_sampler(magnitudes, alpha=0.7, minibatch=None, resort_interval=1, seed=0):
+def prepared_sampler(magnitudes, alpha=0.7, minibatch=None, seed=0):
     k = minibatch if minibatch is not None else len(magnitudes)
-    config = SamplerConfig(
-        capacity=len(magnitudes), alpha=alpha, minibatch=k, resort_interval=resort_interval, seed=seed
-    )
+    config = SamplerConfig(capacity=len(magnitudes), alpha=alpha, minibatch=k, seed=seed)
     sampler = RankSampler(config)
     for _ in magnitudes:
         sampler.store(TERMINAL)
@@ -92,11 +91,13 @@ def test_a_slot_out_of_range_is_refused_before_anything_changes():
     assert store.key_of(3) == 1.0
 
 
-def test_resort_interval_triggers_a_full_sort():
-    store = RankStore(capacity=16, resort_interval=3)
+def test_resort_interval_triggers_a_full_sort(monkeypatch):
+    store = RankStore(capacity=16)
     rng = np.random.default_rng(2)
     for slot in range(10):
         store.insert(slot, float(rng.uniform(0, 1)))
+    # the store reads the interval at each update, so a change reaches a built store
+    monkeypatch.setattr(rank, "RESORT_INTERVAL", 3)
     store.update(0, 0.31)
     store.update(5, 0.72)
     assert store.steps_since_sort == 2
@@ -146,7 +147,7 @@ def test_equal_keys_sort_older_slot_first():
     ops=st.lists(st.tuples(st.integers(0, 15), st.floats(0.0, 10.0)), min_size=1, max_size=60)
 )
 def test_heap_property_holds_after_every_operation(ops):
-    store = RankStore(capacity=16, resort_interval=10**9)
+    store = RankStore(capacity=16)
     present = set()
     for slot, key in ops:
         if slot in present:
@@ -243,23 +244,25 @@ class SwapHeap:
     ),
 )
 def test_heap_layout_matches_a_swap_based_heap(resort_interval, ops):
-    store = RankStore(capacity=24, resort_interval=resort_interval)
+    store = RankStore(capacity=24)
     reference = SwapHeap(capacity=24, resort_interval=resort_interval)
-    for op, slot, key in ops:
-        if op == "sort":
-            store.sort()
-            reference.sort()
-        elif slot in store:
-            store.update(slot, key)
-            reference.update(slot, key)
-        else:
-            store.insert(slot, key)
-            reference.insert(slot, key)
-        assert store.keys() == reference.keys
-        assert store.slots() == reference.slots
-        assert store.steps_since_sort == reference.steps_since_sort
-        assert all(store.key_of(s) == reference.keys[reference.pos[s]] for s in reference.slots)
-        assert store.heap_ordered()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "RESORT_INTERVAL", resort_interval)
+        for op, slot, key in ops:
+            if op == "sort":
+                store.sort()
+                reference.sort()
+            elif slot in store.slots():
+                store.update(slot, key)
+                reference.update(slot, key)
+            else:
+                store.insert(slot, key)
+                reference.insert(slot, key)
+            assert store.keys() == reference.keys
+            assert store.slots() == reference.slots
+            assert store.steps_since_sort == reference.steps_since_sort
+            assert all(store.key_of(s) == reference.keys[reference.pos[s]] for s in reference.slots)
+            assert store.heap_ordered()
 
 
 # -- partitions -----------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_partition_masses_balance_within_discreteness(n, alpha, k):
 
 
 def test_partition_cache_reuse_within_ten_percent():
-    sampler = RankSampler(SamplerConfig(capacity=200, alpha=0.7, minibatch=16, resort_interval=1))
+    sampler = RankSampler(SamplerConfig(capacity=200, alpha=0.7, minibatch=16))
     for _ in range(100):
         sampler.store(TERMINAL)
     first = sampler.partition_for()
@@ -406,7 +409,7 @@ def test_power_law_slope_matches_alpha():
 
 def test_new_transition_enters_the_top_segment():
     magnitudes = [0.8, 0.6, 0.4, 0.2, 0.05]
-    sampler = prepared_sampler(magnitudes, minibatch=5, resort_interval=1)
+    sampler = prepared_sampler(magnitudes, minibatch=5)
     slot = sampler.store(TERMINAL)
     assert sampler.priority(slot) == pytest.approx(1.0)  # running max from the bootstrap
     sampler.heap.sort()
@@ -415,7 +418,7 @@ def test_new_transition_enters_the_top_segment():
 
 def test_heap_order_approximates_ranks_without_resort():
     rng = np.random.default_rng(12)
-    sampler = prepared_sampler(rng.uniform(0, 1, 64).tolist(), resort_interval=10**9)
+    sampler = prepared_sampler(rng.uniform(0, 1, 64).tolist())
     # after a full sort every element's heap position equals its exact rank
     sampler.heap.sort()
     ranks = exact_ranks([sampler.priority(i) for i in range(64)])

@@ -145,7 +145,7 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     elif config.strategy == "greedy_td":
         selector = _GreedySelector(len(cells), config.clip_td)
     elif config.strategy == "oracle":
-        selector = _OracleSelector(config, spec, cells, has_bias, truth, theta)
+        selector = _OracleSelector(config, spec, cells, has_bias, truth)
     else:
         selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
         schedule = selector.schedule
@@ -182,11 +182,11 @@ def _exact_sums(cq, bq, truth_flat):
 
 
 class _Selector:
-    """What the replay loop replays. ``next(updates)`` returns the next slots
-    and their IS weights (``None`` means weight 1), or no slots to end the
-    run; ``refresh(slot, td)``, when set, takes each replayed slot's fresh TD
-    error; ``describe(j, slot)`` adds fields to the ``replay`` event of the
-    batch's ``j``-th slot."""
+    """What the replay loop replays. ``next(updates, cq, bq)`` reads the loop's
+    cell values and bias and returns the next slots and their IS weights
+    (``None`` means weight 1), or no slots to end the run; ``refresh(slot,
+    td)``, when set, takes each replayed slot's fresh TD error; ``describe(j,
+    slot)`` adds fields to the ``replay`` event of the batch's ``j``-th slot."""
 
     refresh = None
 
@@ -201,7 +201,7 @@ class _UniformSelector(_Selector):
         self.size = size
         self.rng = rng
 
-    def next(self, updates: int):
+    def next(self, updates: int, cq, bq):
         return self.rng.integers(0, self.size, size=_UNIFORM_CHUNK).tolist(), None
 
 
@@ -214,7 +214,7 @@ class _GreedySelector(_Selector):
         self.magnitudes = np.full(size, 1.0)
         self.clip = clip
 
-    def next(self, updates: int):
+    def next(self, updates: int, cq, bq):
         # argmax takes the first maximum: ties go to the lowest slot
         return [int(self.magnitudes.argmax())], None
 
@@ -229,8 +229,7 @@ class _OracleSelector(_Selector):
     the rank-one step, and the first minimum over the cells, in order of their
     lowest slot, is the lowest slot that reaches it: the pick of the reference
     selector in ``tests/reference.py``, which tries every stored transition.
-    The selector applies each pick's step to its own copy of the values; the
-    loop takes the same step, bit for bit.
+    It scores the loop's own values, so the loop alone applies the steps.
 
     A deterministic run that stops improving can never converge: once a stall
     window of updates passes without a new best error, an empty batch ends it.
@@ -238,7 +237,7 @@ class _OracleSelector(_Selector):
     out, so it is returned once as all of those repeats.
     """
 
-    def __init__(self, config: RunConfig, spec: Cliffwalk, cells, has_bias, truth, theta):
+    def __init__(self, config: RunConfig, spec: Cliffwalk, cells, has_bias, truth):
         first_slot = {}
         for slot, c in enumerate(cells):
             first_slot.setdefault(c, slot)
@@ -248,8 +247,6 @@ class _OracleSelector(_Selector):
         self.discount = np.array([t.discount for t in spec.transitions])
         self.next_state = np.array([t.next_state for t in spec.transitions])
         self.n_cells = 2 * config.n_states
-        self.q_cells = theta[: self.n_cells].copy()
-        self.bias = float(theta[-1]) if has_bias else 0.0
         self.has_bias = has_bias
         self.truth = truth.reshape(-1)
         self.eta = config.step_size
@@ -258,8 +255,8 @@ class _OracleSelector(_Selector):
         self.best_sse = np.inf
         self.last_improvement = 0
 
-    def next(self, updates: int):
-        q = self.q_cells + self.bias
+    def next(self, updates: int, cq, bq):
+        q = np.array(cq) + bq
         errors = q - self.truth
         sse = float(errors @ errors)
         if sse < self.best_sse:
@@ -276,12 +273,8 @@ class _OracleSelector(_Selector):
             sse_after = sse + d * (2.0 * errors + d)
         c = int(self.cells_by_first_slot[sse_after[self.cells_by_first_slot].argmin()])
         step = float(d[c])
-        before = (self.q_cells[c], self.bias)
-        self.q_cells[c] += step
-        if self.has_bias:
-            self.bias += step
         slot = self.first_slot[c]
-        if (self.q_cells[c], self.bias) == before:
+        if cq[c] + step == cq[c] and (not self.has_bias or bq + step == bq):
             return [slot] * (min(self.budget, self.last_improvement + self.stall_window) - updates), None
         return [slot], None
 
@@ -308,7 +301,7 @@ class _PrioritizedSelector(_Selector):
         self.minibatch = sampler_config.minibatch
         self.rng = rng
 
-    def next(self, updates: int):
+    def next(self, updates: int, cq, bq):
         self.beta = self.schedule.value(updates)
         # the sampler's draw without sample()'s SampledBatch: is_weights checks
         # the probabilities once per minibatch
@@ -347,7 +340,7 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     updates = 0
     converged = False
     while updates < budget and not converged:
-        slots, weights = selector.next(updates)
+        slots, weights = selector.next(updates, cq, bq)
         if not slots:
             break
         for j, slot in enumerate(slots):

@@ -111,7 +111,7 @@ def test_linear_update_reverts_within_tolerance():
 def greedy_pick(magnitudes):
     selector = _GreedySelector(len(magnitudes), clip=False)
     selector.magnitudes[:] = magnitudes
-    slots, weights = selector.next(0)
+    slots, weights = selector.next(0, [], 0.0)
     assert weights is None
     return slots[0]
 

@@ -10,17 +10,20 @@ which slots it picks, how it weights them (stochastic strategies draw
 stratified minibatches and fold in importance-sampling weights, the others
 update with weight 1) and how a replay refreshes a priority. A selector ends a
 run, censored, by returning an empty batch; the hindsight oracle does so when
-a stall window passes without a new best error.
+a stall window passes without a new best error. A run whose TD error turns
+non-finite has diverged: it is censored at its budget.
 
-The loop keeps the values as 2n cell values (cell 2 * state + action) plus,
-for the linear representation, one shared bias added to every cell. It runs
-on plain Python floats with incrementally maintained squared error, so
-convergence can be checked after every update without a sweep; the
-arithmetic is cross-checked against the object model in ``tests/reference.py``.
+The loop alone owns the values: 2n cell values (cell 2 * state + action)
+plus, for the linear representation, one shared bias added to every cell.
+Selectors read them and never change them. The loop runs on plain Python
+floats with incrementally maintained squared error, so convergence can be
+checked after every update without a sweep; the arithmetic is cross-checked
+against the object model in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -320,8 +323,8 @@ class _PrioritizedSelector(_Selector):
 
 def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
-    values converge, the budget runs out or the selector returns an empty
-    batch. Convergence is tested after every update, never before the first,
+    values converge, the budget runs out, a TD error turns non-finite or the
+    selector returns an empty batch. Convergence is tested after every update, never before the first,
     on the incremental squared error, confirmed by an exact left-to-right sum."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
@@ -336,6 +339,7 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     budget = config.budget
     sse_threshold = config.mse_threshold * n_cells
     refresh = selector.refresh
+    isfinite = math.isfinite
 
     updates = 0
     converged = False
@@ -353,6 +357,11 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
                 delta = rewards[c] + g * boot - q_sa
             else:
                 delta = rewards[c] - q_sa
+            if not isfinite(delta):
+                # every later update adds to a non-finite value, so the run
+                # could never converge: it is censored at its budget now
+                updates = budget
+                break
 
             if refresh is not None:
                 refresh(slot, delta)

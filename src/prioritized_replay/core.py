@@ -108,7 +108,11 @@ def sampling_probabilities(priorities, alpha: float) -> np.ndarray:
         raise ValueError("priorities must be positive and finite")
     _check_nonnegative("alpha", alpha)
     scaled = p**alpha
-    probs = scaled / scaled.sum()
+    total = scaled.sum()
+    # the powers can overflow to inf, or all underflow to 0, for extreme alpha
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"priorities**alpha must sum to a finite positive value, got {total!r}")
+    probs = scaled / total
     # second normalization pass absorbs the rounding of the first
     return probs / probs.sum()
 

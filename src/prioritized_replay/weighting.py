@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,4 +58,8 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     _check_count("memory_size", memory_size)
     _check_exponent("beta", beta)
     w = (memory_size * p) ** -beta
-    return w / w.max()
+    # a tiny probability's weight can overflow to inf
+    largest = w.max()
+    if not (math.isfinite(largest) and largest > 0.0):
+        raise ValueError(f"the largest IS weight must be finite and positive, got {largest!r}")
+    return w / largest

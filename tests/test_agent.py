@@ -327,6 +327,25 @@ def test_censoring_reports_budget_exhaustion():
     assert result.updates == 500
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_a_diverging_run_is_censored_at_its_budget(strategy, representation):
+    """At step size 3 most runs overflow. None raises: the loop stops at the
+    first non-finite TD error, before any update or priority refresh takes
+    it, and reports the budget, as running on to it would."""
+    config = RunConfig(
+        n_states=4, strategy=strategy, representation=representation,
+        step_size=3.0, budget=100_000,
+    )
+    events = []
+    result = run_training(config, instrument=lambda event, **data: events.append(data))
+    td_errors = [data["td_error"] for data in events if "td_error" in data]
+    assert all(np.isfinite(td_errors))
+    if strategy != "oracle" and not result.converged:
+        assert result.updates == config.budget
+        assert len(td_errors) < config.budget
+
+
 def test_greedy_refreshes_the_stored_magnitude_after_replay():
     events = []
     config = RunConfig(n_states=2, strategy="greedy_td", seed=1, budget=30)

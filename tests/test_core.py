@@ -56,6 +56,11 @@ def test_probability_errors():
     for bad_alpha in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             sampling_probabilities([1.0], bad_alpha)
+    # the powers overflow to inf, or all underflow to 0
+    with pytest.raises(ValueError, match="finite positive"), np.errstate(over="ignore"):
+        sampling_probabilities([10.0, 20.0], 400.0)
+    with pytest.raises(ValueError, match="finite positive"):
+        sampling_probabilities([1e-300, 1e-300], 2.0)
 
 
 @settings(max_examples=80, deadline=None)

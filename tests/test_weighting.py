@@ -36,6 +36,9 @@ def test_weight_errors():
         is_weights([0.5], 0, 0.5)
     with pytest.raises(ValueError):
         is_weights([0.5], 4, 1.5)
+    # the subnormal probability's weight overflows to inf
+    with pytest.raises(ValueError, match="finite and positive"), np.errstate(over="ignore"):
+        is_weights([5e-324, 0.5], 2, 1.0)
 
 
 @settings(max_examples=80, deadline=None)

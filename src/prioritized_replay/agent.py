@@ -324,8 +324,9 @@ class _PrioritizedSelector(_Selector):
 def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
     values converge, the budget runs out, a TD error turns non-finite or the
-    selector returns an empty batch. Convergence is tested after every update, never before the first,
-    on the incremental squared error, confirmed by an exact left-to-right sum."""
+    selector returns an empty batch. Convergence is tested after every update,
+    never before the first, on the incremental squared error, confirmed by an
+    exact left-to-right sum."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
     next2 = [2 * t.next_state for t in spec.transitions]

@@ -33,7 +33,7 @@ from .cliffwalk import MAX_STATES, Cliffwalk, fill_memory, ground_truth_q, memor
 from .core import SamplerConfig, _check_count, _check_nonnegative, _check_positive, td_magnitude
 from .rank import RankSampler
 from .sumtree import ProportionalSampler
-from .weighting import AnnealSchedule, is_weights
+from .weighting import AnnealSchedule, _check_exponent, is_weights
 
 __all__ = [
     "STRATEGIES",
@@ -92,8 +92,8 @@ class RunConfig:
         _check_nonnegative("mse_threshold", self.mse_threshold)
         if self.alpha is not None:
             _check_nonnegative("alpha", self.alpha)
-        if self.beta0 is not None and not 0.0 <= self.beta0 <= 1.0:
-            raise ValueError("beta0 must lie in [0, 1]")
+        if self.beta0 is not None:
+            _check_exponent("beta0", self.beta0)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ SUMMARY_COLUMNS = (
 
 RAW_FILENAME = "runs.csv"
 SUMMARY_FILENAME = "summary.csv"
-OUT_DIR_ENV = "REPLAY_BENCH_OUT_DIR"
 
 # oracle cells above this size are recorded as skipped, not run, until stalled
 # runs are reported at their budget and acceptance criteria 4 and 5 are
@@ -119,7 +118,7 @@ class SweepConfig:
         RunConfig.use_is_weights, parse_on_off, "importance weights on|off", "--is-weights"
     )
     jobs: int | None = _setting(None, int, "parallel worker processes (default: cpu count)")
-    out_dir: str | None = _setting(None, str, "output directory for runs.csv/summary.csv")
+    out_dir: str = _setting("bench_out", str, "output directory for runs.csv/summary.csv")
 
     def __post_init__(self) -> None:
         for axis in ("sizes", "strategies", "representations", "seeds"):
@@ -136,11 +135,11 @@ class SweepConfig:
             if self.jobs is not None:
                 _check_count("jobs", self.jobs)
             cells = list(product(self.sizes, self.strategies, self.representations))
-            _run_config(self, SweepCell(*cells[0], self.seeds[0]))
+            _run_config(self, *cells[0], self.seeds[0])
             for seed in self.seeds[1:]:
                 _check_count("seed", seed, 0)
             for cell in cells[1:]:
-                _run_config(self, SweepCell(*cell, self.seeds[0]))
+                _run_config(self, *cell, self.seeds[0])
         except ValueError as error:
             raise SweepConfigError(str(error)) from None
 
@@ -186,28 +185,17 @@ def load_sweep_config(path: str | Path | None = None, overrides: dict | None = N
         raise SweepConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell; ``skipped`` cells are recorded but never executed."""
-
-    n: int
-    strategy: str
-    representation: str
-    seed: int
-    skipped: bool = False
-
-
-def expand_runs(config: SweepConfig) -> list[SweepCell]:
+def expand_runs(config: SweepConfig) -> list[RunConfig]:
     grid = product(config.sizes, config.strategies, config.representations, config.seeds)
-    return [SweepCell(n, s, r, seed, s == "oracle" and n > ORACLE_MAX_N) for n, s, r, seed in grid]
+    return [_run_config(config, *cell) for cell in grid]
 
 
-def _run_config(config: SweepConfig, cell: SweepCell) -> RunConfig:
+def _run_config(config: SweepConfig, n: int, strategy: str, representation: str, seed: int) -> RunConfig:
     return RunConfig(
-        n_states=cell.n,
-        strategy=cell.strategy,
-        representation=cell.representation,
-        seed=cell.seed,
+        n_states=n,
+        strategy=strategy,
+        representation=representation,
+        seed=seed,
         budget=config.budget,
         step_size=config.eta,
         alpha=config.alpha,
@@ -219,8 +207,9 @@ def _run_config(config: SweepConfig, cell: SweepCell) -> RunConfig:
 
 def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     """Execute the grid and return (raw rows, summary rows) as column dicts."""
-    cells = expand_runs(config)
-    configs = [_run_config(config, c) for c in cells if not c.skipped]
+    runs = expand_runs(config)
+    skipped = [run.strategy == "oracle" and run.n_states > ORACLE_MAX_N for run in runs]
+    configs = [run for run, skip in zip(runs, skipped) if not skip]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(configs) or 1)
     if jobs > 1 and len(configs) > 1:
@@ -231,24 +220,24 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
 
     # pool.map keeps its input order, so the results follow the runnable cells
     outcomes = iter(results)
-    raw_rows = [_raw_row(cell, None if cell.skipped else next(outcomes)) for cell in cells]
+    raw_rows = [_raw_row(run, None if skip else next(outcomes)) for run, skip in zip(runs, skipped)]
     raw_rows.sort(key=lambda row: (row["n"], row["strategy"], row["representation"], row["seed"]))
     return raw_rows, summarize(raw_rows)
 
 
-def _raw_row(cell: SweepCell, result: RunResult | None) -> dict:
-    """The row of ``cell``: its run's outcome, or blank for a skipped cell."""
+def _raw_row(run: RunConfig, result: RunResult | None) -> dict:
+    """The row of ``run``: its outcome, or blank for a skipped cell."""
     if result is None:
         outcome = {"updates": "", "censored": "skipped", "wall_ms": 0}
     else:
         censored = "false" if result.converged else "true"
         outcome = {"updates": result.updates, "censored": censored, "wall_ms": int(round(result.wall_ms))}
     return {
-        "n": cell.n,
-        "transitions": memory_size(cell.n),
-        "strategy": cell.strategy,
-        "representation": cell.representation,
-        "seed": cell.seed,
+        "n": run.n_states,
+        "transitions": memory_size(run.n_states),
+        "strategy": run.strategy,
+        "representation": run.representation,
+        "seed": run.seed,
         **outcome,
     }
 

@@ -7,12 +7,10 @@ validation check fails.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
 from .bench import (
-    OUT_DIR_ENV,
     VALIDATION_SLOTS,
     SweepConfig,
     SweepConfigError,
@@ -83,9 +81,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
     except (SweepConfigError, OSError) as exc:
         print(f"replay-bench: configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir = config.out_dir or os.environ.get(OUT_DIR_ENV) or "bench_out"
     raw_rows, summary_rows = run_sweep(config)
-    raw_path, summary_path = write_results(raw_rows, summary_rows, out_dir)
+    raw_path, summary_path = write_results(raw_rows, summary_rows, config.out_dir)
     print(f"wrote {len(raw_rows)} runs to {raw_path}")
     print(f"wrote {len(summary_rows)} summary rows to {summary_path}")
     for row in summary_rows:

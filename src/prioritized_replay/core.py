@@ -107,9 +107,10 @@ def sampling_probabilities(priorities, alpha: float) -> np.ndarray:
     if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise ValueError("priorities must be positive and finite")
     _check_nonnegative("alpha", alpha)
-    scaled = p**alpha
-    total = scaled.sum()
     # the powers can overflow to inf, or all underflow to 0, for extreme alpha
+    with np.errstate(over="ignore"):
+        scaled = p**alpha
+        total = scaled.sum()
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(f"priorities**alpha must sum to a finite positive value, got {total!r}")
     probs = scaled / total

@@ -58,12 +58,6 @@ class RankStore:
             raise KeyError(f"slot {slot} not present")
         return self._keys[i]
 
-    def keys(self) -> list[float]:
-        return list(self._keys)
-
-    def slots(self) -> list[int]:
-        return list(self._slots)
-
     def insert(self, slot: int, key: float) -> None:
         if not 0 <= slot < len(self._pos):
             raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")
@@ -230,12 +224,11 @@ class RankSampler(PrioritizedMemory):
         self._check_occupied(slot)
         return self.heap.key_of(slot)
 
-    def partition_for(self, k: int | None = None) -> Partition:
+    def partition_for(self, k: int) -> Partition:
         """Current partition, rebuilt only when (size, segments) drifts."""
         n = self._size
         if n == 0:
             raise ValueError("cannot partition an empty memory")
-        k = self.config.minibatch if k is None else k
         segments = min(k, n)
         p = self._partition
         if (

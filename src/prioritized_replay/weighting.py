@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +55,16 @@ def is_weights(probabilities, memory_size: int, beta: float) -> np.ndarray:
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         raise ValueError("probabilities must be non-empty")
-    _check_probabilities("probabilities", p)
     _check_count("memory_size", memory_size)
     _check_exponent("beta", beta)
-    w = (memory_size * p) ** -beta
-    # a tiny probability's weight can overflow to inf
+    # beta <= 1 and memory_size >= 1, so only a subnormal probability's weight
+    # can overflow, and only a batch holding one pays for np.errstate
+    if ((p >= sys.float_info.min) & (p <= 1.0)).all():
+        w = (memory_size * p) ** -beta
+    else:
+        _check_probabilities("probabilities", p)
+        with np.errstate(over="ignore"):
+            w = (memory_size * p) ** -beta
     largest = w.max()
     if not (math.isfinite(largest) and largest > 0.0):
         raise ValueError(f"the largest IS weight must be finite and positive, got {largest!r}")

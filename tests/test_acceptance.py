@@ -182,7 +182,7 @@ def test_criterion_6_conservation_and_structure():
         assert store.heap_ordered()
 
     store.sort()
-    keys = store.keys()
+    keys = store._keys
     assert all(a >= b for a, b in zip(keys, keys[1:]))
 
     for n, alpha, k in ((4096, 0.7, 16), (1024, 0.5, 8), (1000, 0.0, 10), (64, 1.0, 2)):

@@ -42,27 +42,33 @@ def read_rows(path):
 # -- grid expansion -------------------------------------------------------------
 
 
+def skipped(run):
+    """Whether ``run_sweep`` records ``run`` as skipped: oracle cells above the cap."""
+    return run.strategy == "oracle" and run.n_states > bench.ORACLE_MAX_N
+
+
 def test_grid_cardinality():
     config = SweepConfig(**TINY)
-    cells = expand_runs(config)
-    assert len(cells) == 2 * 2 * 1 * 2
-    assert not any(c.skipped for c in cells)
+    runs = expand_runs(config)
+    assert len(runs) == 2 * 2 * 1 * 2
+    assert all(isinstance(run, RunConfig) for run in runs)
+    assert not any(skipped(run) for run in runs)
 
 
 def test_default_grid_shape():
-    cells = expand_runs(SweepConfig())
-    assert len(cells) == 8 * 5 * 2 * 10
-    skipped = [c for c in cells if c.skipped]
-    assert all(c.strategy == "oracle" and c.n > 12 for c in skipped)
-    assert len(skipped) == 2 * 2 * 10  # oracle at n = 14, 16 for both representations
+    runs = expand_runs(SweepConfig())
+    assert len(runs) == 8 * 5 * 2 * 10
+    capped = [run for run in runs if skipped(run)]
+    assert all(run.strategy == "oracle" and run.n_states > 12 for run in capped)
+    assert len(capped) == 2 * 2 * 10  # oracle at n = 14, 16 for both representations
 
 
 def test_oracle_skipped_beyond_the_cap():
     config = SweepConfig(
         sizes=(12, 14), strategies=("oracle",), representations=("tabular",), seeds=(1,), jobs=1
     )
-    cells = expand_runs(config)
-    assert [c.skipped for c in cells] == [False, True]
+    runs = expand_runs(config)
+    assert [skipped(run) for run in runs] == [False, True]
 
 
 def test_config_validation(tmp_path, capsys):
@@ -445,8 +451,8 @@ def test_cli_sweep_writes_files(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
 
 
-def test_cli_out_dir_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPLAY_BENCH_OUT_DIR", str(tmp_path / "from_env"))
+def test_cli_out_dir_defaults_to_bench_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(
         [
             "sweep",
@@ -459,4 +465,4 @@ def test_cli_out_dir_env_default(tmp_path, monkeypatch):
         ]
     )
     assert code == 0
-    assert (tmp_path / "from_env" / "runs.csv").exists()
+    assert len(read_rows(tmp_path / "bench_out" / "runs.csv")) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,11 +57,13 @@ def test_probability_errors():
     for bad_alpha in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             sampling_probabilities([1.0], bad_alpha)
-    # the powers overflow to inf, or all underflow to 0
-    with pytest.raises(ValueError, match="finite positive"), np.errstate(over="ignore"):
-        sampling_probabilities([10.0, 20.0], 400.0)
-    with pytest.raises(ValueError, match="finite positive"):
-        sampling_probabilities([1e-300, 1e-300], 2.0)
+    # the powers overflow to inf, or their sum does, or all underflow to 0;
+    # each is refused without a RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for priorities, alpha in (([10.0, 20.0], 400.0), ([1e308, 1e308], 1.0), ([1e-300, 1e-300], 2.0)):
+            with pytest.raises(ValueError, match="finite positive"):
+                sampling_probabilities(priorities, alpha)
 
 
 @settings(max_examples=80, deadline=None)

@@ -41,7 +41,7 @@ def exact_ranks(magnitudes):
 
 def rank_of(store, slot):
     """1-based rank approximated by the slot's current heap position."""
-    return store.slots().index(slot) + 1
+    return list(store._slots).index(slot) + 1
 
 
 # -- heap ---------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_a_slot_out_of_range_is_refused_before_anything_changes():
     store = RankStore(capacity=4)
     for slot, key in enumerate([5.0, 3.0, 4.0, 1.0]):
         store.insert(slot, key)
-    before = (store.keys(), store.slots(), list(store._pos), store.steps_since_sort)
+    before = (list(store._keys), list(store._slots), list(store._pos), store.steps_since_sort)
     for call in (
         lambda: store.update(-1, 10.0),
         lambda: store.update(4, 10.0),
@@ -83,7 +83,7 @@ def test_a_slot_out_of_range_is_refused_before_anything_changes():
     ):
         with pytest.raises(IndexError, match="out of range"):
             call()
-        assert (store.keys(), store.slots(), list(store._pos), store.steps_since_sort) == before
+        assert (list(store._keys), list(store._slots), list(store._pos), store.steps_since_sort) == before
     sparse = RankStore(capacity=4)
     sparse.insert(0, 1.0)
     with pytest.raises(KeyError):
@@ -103,7 +103,7 @@ def test_resort_interval_triggers_a_full_sort(monkeypatch):
     assert store.steps_since_sort == 2
     store.update(7, 0.11)  # third update hits the interval
     assert store.steps_since_sort == 0
-    assert store.keys() == sorted(store.keys(), reverse=True)
+    assert list(store._keys) == sorted(list(store._keys), reverse=True)
 
 
 def test_full_sort_orders_keys_non_increasing():
@@ -113,10 +113,10 @@ def test_full_sort_orders_keys_non_increasing():
     for slot, key in enumerate(keys):
         store.insert(slot, float(key))
     store.sort()
-    assert store.keys() == sorted(keys.tolist(), reverse=True)
+    assert list(store._keys) == sorted(keys.tolist(), reverse=True)
     # inverse index intact
-    sorted_keys = store.keys()
-    for position, slot in enumerate(store.slots()):
+    sorted_keys = list(store._keys)
+    for position, slot in enumerate(list(store._slots)):
         assert store.key_of(slot) == sorted_keys[position]
 
 
@@ -125,13 +125,13 @@ def test_full_sort_on_sorted_and_reversed_inputs():
     for slot, key in enumerate([4.0, 3.0, 2.0, 1.0]):
         store.insert(slot, key)
     store.sort()
-    assert store.keys() == [4.0, 3.0, 2.0, 1.0]
+    assert list(store._keys) == [4.0, 3.0, 2.0, 1.0]
     reverse = RankStore(capacity=8)
     for slot, key in enumerate([1.0, 2.0, 3.0, 4.0]):
         reverse.insert(slot, key)
     reverse.sort()
-    assert reverse.keys() == [4.0, 3.0, 2.0, 1.0]
-    assert reverse.slots() == [3, 2, 1, 0]
+    assert list(reverse._keys) == [4.0, 3.0, 2.0, 1.0]
+    assert list(reverse._slots) == [3, 2, 1, 0]
 
 
 def test_equal_keys_sort_older_slot_first():
@@ -139,7 +139,7 @@ def test_equal_keys_sort_older_slot_first():
     for slot, key in enumerate([2.0, 5.0, 2.0, 5.0]):
         store.insert(slot, key)
     store.sort()
-    assert store.slots() == [1, 3, 0, 2]
+    assert list(store._slots) == [1, 3, 0, 2]
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,8 +156,8 @@ def test_heap_property_holds_after_every_operation(ops):
             store.insert(slot, key)
             present.add(slot)
         assert store.heap_ordered()
-        assert sorted(store.slots()) == sorted(present)
-        keys, slots = store.keys(), store.slots()
+        assert sorted(list(store._slots)) == sorted(present)
+        keys, slots = list(store._keys), list(store._slots)
         for s in present:
             assert store.key_of(s) == keys[slots.index(s)]
 
@@ -167,8 +167,8 @@ def test_sort_orders_tied_and_zero_keys_by_slot():
     for slot, key in [(5, 0.0), (2, 3.0), (7, 1.5), (0, 0.0), (6, 3.0), (1, 1.5), (4, 0.0), (3, 3.0)]:
         store.insert(slot, key)
     store.sort()
-    assert store.slots() == [2, 3, 6, 1, 7, 0, 4, 5]
-    assert store.keys() == [3.0, 3.0, 3.0, 1.5, 1.5, 0.0, 0.0, 0.0]
+    assert list(store._slots) == [2, 3, 6, 1, 7, 0, 4, 5]
+    assert list(store._keys) == [3.0, 3.0, 3.0, 1.5, 1.5, 0.0, 0.0, 0.0]
     assert [rank_of(store, s) for s in range(8)] == [6, 4, 1, 2, 7, 8, 3, 5]
 
 
@@ -252,14 +252,14 @@ def test_heap_layout_matches_a_swap_based_heap(resort_interval, ops):
             if op == "sort":
                 store.sort()
                 reference.sort()
-            elif slot in store.slots():
+            elif slot in list(store._slots):
                 store.update(slot, key)
                 reference.update(slot, key)
             else:
                 store.insert(slot, key)
                 reference.insert(slot, key)
-            assert store.keys() == reference.keys
-            assert store.slots() == reference.slots
+            assert list(store._keys) == reference.keys
+            assert list(store._slots) == reference.slots
             assert store.steps_since_sort == reference.steps_since_sort
             assert all(store.key_of(s) == reference.keys[reference.pos[s]] for s in reference.slots)
             assert store.heap_ordered()
@@ -319,14 +319,14 @@ def test_partition_cache_reuse_within_ten_percent():
     sampler = RankSampler(SamplerConfig(capacity=200, alpha=0.7, minibatch=16))
     for _ in range(100):
         sampler.store(TERMINAL)
-    first = sampler.partition_for()
+    first = sampler.partition_for(16)
     assert first.size == 100
     for _ in range(8):  # occupancy 108, within 10% of 100
         sampler.store(TERMINAL)
-    assert sampler.partition_for() is first
+    assert sampler.partition_for(16) is first
     for _ in range(15):  # occupancy 123, past the reuse band
         sampler.store(TERMINAL)
-    rebuilt = sampler.partition_for()
+    rebuilt = sampler.partition_for(16)
     assert rebuilt is not first
     assert rebuilt.size == 123
 
@@ -388,7 +388,7 @@ def test_every_batch_draws_from_the_top_segment():
     rng = np.random.default_rng(8)
     magnitudes = rng.uniform(0.01, 1.0, 200).tolist()
     sampler = prepared_sampler(magnitudes, alpha=0.7, minibatch=16)
-    partition = sampler.partition_for()
+    partition = sampler.partition_for(16)
     ranks = exact_ranks(magnitudes)
     top = {i for i in range(200) if ranks[i] <= partition.boundaries[1]}
     for _ in range(100):
@@ -439,7 +439,7 @@ def stored_sampler(size, capacity=None, alpha=0.7, minibatch=16, seed=0):
 
 def assert_probabilities_match_the_partition(sampler, k, slots, probabilities):
     """Each drawn slot's probability is its rank's under the cached partition."""
-    position = {slot: rank for rank, slot in enumerate(sampler.heap.slots())}
+    position = {slot: rank for rank, slot in enumerate(sampler.heap._slots)}
     ranks = [position[slot] for slot in slots]
     assert np.array_equal(probabilities, piece_probabilities(sampler.partition_for(k), ranks))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,9 +38,12 @@ def test_weight_errors():
         is_weights([0.5], 0, 0.5)
     with pytest.raises(ValueError):
         is_weights([0.5], 4, 1.5)
-    # the subnormal probability's weight overflows to inf
-    with pytest.raises(ValueError, match="finite and positive"), np.errstate(over="ignore"):
-        is_weights([5e-324, 0.5], 2, 1.0)
+    # the subnormal probability's weight overflows to inf, refused without a
+    # RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and positive"):
+            is_weights([5e-324, 0.5], 2, 1.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -71,6 +76,17 @@ def test_normalization_is_a_single_positive_rescaling():
     ratios = raw / normalized
     assert np.all(ratios > 0)
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
+
+
+def test_a_subnormal_probability_is_weighted_by_the_same_formula():
+    """A batch holding a subnormal probability takes is_weights' guarded path;
+    its weights equal the plain formula's bit for bit, with no warning."""
+    for probs in ([5e-324, 0.5], [1e-310, 2.2250738585072014e-308, 1.0]):
+        p = np.array(probs)
+        raw = (3 * p) ** -0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(is_weights(probs, 3, 0.5), raw / raw.max())
 
 
 def test_raising_beta_shrinks_non_max_weight_ratios():

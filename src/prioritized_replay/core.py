@@ -164,7 +164,7 @@ class PrioritizedMemory:
     store overwrites the oldest slot, replacing its entry in the sampler's
     index structure in the same call.
 
-    Subclasses provide the index structure and the priority map. All methods
+    Subclasses provide the index structure, the priority map and the draw. All methods
     assume a single writer: callers serialize store/update_priority/sample.
     """
 
@@ -222,6 +222,15 @@ class PrioritizedMemory:
             raise ValueError("cannot sample from an empty memory")
         return self._rng if rng is None else rng
 
+    def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
+        """One stratified minibatch of ``k`` (the config's minibatch by default),
+        drawn with ``rng`` or the memory's own generator."""
+        k = self.config.minibatch if k is None else k
+        slots, probs = self._draw(k, self._rng_for(k, 1, rng))
+        return SampledBatch(
+            indices=slots, probabilities=probs, transitions=[self._transitions[s] for s in slots]
+        )
+
     def _check_occupied(self, slot: int) -> None:
         if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
             raise KeyError(f"slot {slot} is not occupied")
@@ -235,5 +244,7 @@ class PrioritizedMemory:
     def priority(self, slot: int) -> float:
         raise NotImplementedError
 
-    def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
+    def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
+        """Slots and probabilities of one stratified minibatch of ``k`` from a
+        non-empty memory, unchecked: what :meth:`sample` wraps."""
         raise NotImplementedError

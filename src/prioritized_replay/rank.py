@@ -17,14 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig
+from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig
 from .core import _check_count, _check_nonnegative
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
-
-# A cached partition is reused while the live count stays within this
-# fraction of the count it was built for.
-PARTITION_REUSE_TOLERANCE = 0.10
 
 # Heap updates between two full sorts of the heap array.
 RESORT_INTERVAL = 1_000_000
@@ -199,11 +195,6 @@ class RankSampler(PrioritizedMemory):
     The reported probability of a draw is its segment's exact mass spread
     uniformly over the segment's ranks, i.e. precisely the distribution the
     draw was taken from.
-
-    The partition is cached and reused while the live count stays within 10%
-    of the count it was built for; ranks beyond the partition's size are not
-    reachable until it is rebuilt, mirroring the cheap-reuse tradeoff this
-    sampler is designed around.
     """
 
     def __init__(self, config: SamplerConfig):
@@ -225,33 +216,24 @@ class RankSampler(PrioritizedMemory):
         return self.heap.key_of(slot)
 
     def partition_for(self, k: int) -> Partition:
-        """Current partition, rebuilt only when (size, segments) drifts."""
+        """The partition of the live count into ``min(k, count)`` segments,
+        rebuilt whenever the count or the segment count changes."""
         n = self._size
         if n == 0:
             raise ValueError("cannot partition an empty memory")
         segments = min(k, n)
         p = self._partition
-        if (
-            p is None
-            or p.segments != segments
-            or abs(n - p.size) > PARTITION_REUSE_TOLERANCE * p.size
-        ):
+        if p is None or p.size != n or p.segments != segments:
             p = build_partition(n, self._alpha, segments)
             self._partition = p
             b, c = p.boundaries, p.cumulative
             self._pieces = [(b[j], b[j + 1] - b[j], c[j], c[j + 1] - c[j]) for j in range(segments)]
         return p
 
-    def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
-        k = self.config.minibatch if k is None else k
-        slots, probs = self._draw(k, self._rng_for(k, 1, rng))
-        return SampledBatch(
-            indices=slots, probabilities=probs, transitions=[self._transitions[s] for s in slots]
-        )
+    # an alias, so perfbench's tracer finds ``sample`` in this class's own __dict__
+    sample = PrioritizedMemory.sample
 
     def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
-        """Slots and probabilities of one stratified minibatch of ``k`` from a
-        non-empty memory, unchecked: what :meth:`sample` wraps."""
         knots = self.partition_for(k).cumulative
         pieces = self._pieces
         last_piece = len(pieces) - 1
@@ -259,7 +241,7 @@ class RankSampler(PrioritizedMemory):
         # sample_many's arithmetic in the same order, on Python scalars (numpy's
         # per-call overhead on k-element arrays, and min()'s, cost more than
         # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative; u can
-        # round to 1.0 (piece `segments`). No partition outgrows the memory, so no rank clamp
+        # round to 1.0 (piece `segments`). The partition spans the live count, so no rank clamp
         slots, probs = [], []
         for j, r in enumerate(rng.random(k).tolist()):
             u = (j + r) / k

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SampledBatch, SamplerConfig, _check_count
+from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig, _check_count
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -227,16 +227,10 @@ class ProportionalSampler(PrioritizedMemory):
         self._check_occupied(slot)
         return float(self._raw[slot])
 
-    def sample(self, k: int | None = None, rng: np.random.Generator | None = None) -> SampledBatch:
-        k = self.config.minibatch if k is None else k
-        slots, probs = self._draw(k, self._rng_for(k, 1, rng))
-        return SampledBatch(
-            indices=slots, probabilities=probs, transitions=[self._transitions[i] for i in slots]
-        )
+    # an alias, so perfbench's tracer finds ``sample`` in this class's own __dict__
+    sample = PrioritizedMemory.sample
 
     def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
-        """Slots and probabilities of one stratified minibatch of ``k`` from a
-        non-empty memory, unchecked: what :meth:`sample` wraps."""
         tree = self.tree
         total = tree._mass()
         top = math.nextafter(total, 0.0)

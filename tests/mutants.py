@@ -1,0 +1,281 @@
+"""Mutation checks: small faults planted in a copy of ``src/`` that named tests must catch.
+
+Each mutant names a file under ``src/prioritized_replay/``, one exact text
+edit (``old`` becomes ``new``; ``old`` occurs exactly once in the file) and
+the test node ids that must fail once the edit is applied. A mutant is killed
+when every one of its tests fails; one that any of them passes survives, and
+that is a gap in the tests to fill, not a mutant to drop.
+
+Run ``python tests/mutants.py`` (or ``python tests/mutants.py NAME ...`` for
+some of them). It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, so the pytest configuration's ``pythonpath = ["src"]``
+names the copy, and runs the tests there with ``PYTHONPATH`` on the copy too:
+first every named test on the clean copy, which must pass, then each mutant's
+tests with its edit applied, one mutant at a time. It exits non-zero if a
+test fails on the clean copy or a mutant survives. Hypothesis runs with a
+fixed seed. ``tests/test_mutants.py`` keeps every ``old`` text unique in its
+file, so a refactor that moves the code must carry the mutant along.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "prioritized_replay"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/prioritized_replay/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "rank partition reused across a size change",
+        "rank.py",
+        "if p is None or p.size != n or p.segments != segments:",
+        "if p is None or p.segments != segments:",
+        (
+            "tests/test_rank.py::test_a_grown_memory_gets_a_partition_of_its_own_size",
+            "tests/test_rank.py::test_sample_draws_what_sample_many_draws_on_a_grown_memory",
+            "tests/test_rank.py::test_sample_many_finds_each_piece_on_a_grown_memory[0.7]",
+            "tests/test_rank.py::test_sample_many_finds_each_piece_on_a_grown_memory[3.0]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "sample() ignores its rng",
+        "core.py",
+        "slots, probs = self._draw(k, self._rng_for(k, 1, rng))",
+        "slots, probs = self._draw(k, self._rng_for(k, 1, None))",
+        (
+            "tests/test_rank.py::test_draw_is_what_sample_wraps[100-100-16]",
+            "tests/test_sumtree.py::test_draw_is_what_sample_wraps[37-37-16]",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[draws]",
+        ),
+    ),
+    Mutant(
+        "total skips the settle",
+        "sumtree.py",
+        '"""Sum of all leaf values (the root node)."""\n        if self._stale:\n            self._settle()\n',
+        '"""Sum of all leaf values (the root node)."""\n',
+        (
+            "tests/test_sumtree.py::test_a_stream_sized_window_settles_by_the_walk",
+            "tests/test_sumtree.py::test_eviction_removes_old_mass_in_the_same_call",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "scalar descent one level short",
+        "sumtree.py",
+        "            for _ in range(levels):",
+        "            for _ in range(levels - 1):",
+        (
+            "tests/test_sumtree.py::test_find_many_matches_scalar_find",
+            "tests/test_sumtree.py::test_sample_draws_what_sample_many_draws[37-37-16]",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "bulk descent one level short",
+        "sumtree.py",
+        "            for _ in range(self.levels):",
+        "            for _ in range(self.levels - 1):",
+        (
+            "tests/test_sumtree.py::test_find_many_examples",
+            "tests/test_sumtree.py::test_find_agrees_with_linear_scan_on_random_trees",
+            "tests/test_bench.py::test_quick_validation_suite_passes",
+        ),
+    ),
+    Mutant(
+        "rebuild keeps the stale list",
+        "sumtree.py",
+        "            offset = parent_offset\n        self._stale.clear()",
+        "            offset = parent_offset",
+        (
+            "tests/test_sumtree.py::test_rebuild_repairs_corruption",
+            "tests/test_bench.py::test_corrupted_tree_fails_conservation",
+        ),
+    ),
+    Mutant(
+        "rank insert appends before its checks",
+        "rank.py",
+        (
+            "        if not 0 <= slot < len(self._pos):\n"
+            '            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")\n'
+            "        if self._pos[slot] >= 0:\n"
+            '            raise ValueError(f"slot {slot} already present")\n'
+            "        self._keys.append(key)\n"
+            "        self._slots.append(slot)\n"
+        ),
+        (
+            "        self._keys.append(key)\n"
+            "        self._slots.append(slot)\n"
+            "        if not 0 <= slot < len(self._pos):\n"
+            '            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")\n'
+            "        if self._pos[slot] >= 0:\n"
+            '            raise ValueError(f"slot {slot} already present")\n'
+        ),
+        (
+            "tests/test_rank.py::test_a_slot_out_of_range_is_refused_before_anything_changes",
+        ),
+    ),
+    Mutant(
+        "bulk rank draw skips a crowded stratum's last knot",
+        "rank.py",
+        "for j in np.flatnonzero(inner > full)]",
+        "for j in np.flatnonzero(inner > full + 1)]",
+        (
+            "tests/test_rank.py::test_sample_many_finds_each_piece_however_many_knots_a_stratum_holds[2.0-11]",
+        ),
+    ),
+    Mutant(
+        "proportional priorities lose their epsilon",
+        "sumtree.py",
+        "self._epsilon = config.epsilon",
+        "self._epsilon = 0.0",
+        (
+            "tests/test_core.py::test_zero_td_error_keeps_positive_priority[proportional]",
+            "tests/test_sumtree.py::test_batch_probabilities_match_the_closed_form",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "no running-max update",
+        "core.py",
+        "            self._max_priority = priority",
+        "            pass",
+        (
+            "tests/test_core.py::test_store_tracks_running_max_from_updates[proportional]",
+            "tests/test_core.py::test_store_tracks_running_max_from_updates[rank]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "rank stores always insert",
+        "rank.py",
+        "        if occupied:\n            self.heap.update(slot, priority)",
+        "        if False:\n            self.heap.update(slot, priority)",
+        (
+            "tests/test_core.py::test_clipped_update[rank]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "oracle argmin in cell-index order",
+        "agent.py",
+        "c = int(self.cells_by_first_slot[sse_after[self.cells_by_first_slot].argmin()])",
+        "c = int(sse_after.argmin())",
+        (
+            "tests/test_agent.py::test_fast_oracle_loop_matches_the_reference_selector",
+            "tests/test_agent.py::test_oracle_regression_at_eight_states",
+        ),
+    ),
+    Mutant(
+        "oracle error summed over the reversed array",
+        "agent.py",
+        "sse = float(errors @ errors)",
+        "sse = float(errors[::-1] @ errors[::-1])",
+        (
+            "tests/test_agent.py::test_oracle_regression_at_eight_states",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
+        ),
+    ),
+    Mutant(
+        "jobs=2 results paired in reverse",
+        "bench.py",
+        "results = pool.map(run_training, configs)",
+        "results = pool.map(run_training, configs)[::-1]",
+        (
+            "tests/test_bench.py::test_parallel_execution_matches_serial",
+            "tests/test_bench.py::test_raw_rows_cover_the_grid",
+        ),
+    ),
+    Mutant(
+        "greedy ties go to the highest slot",
+        "agent.py",
+        "return [int(self.magnitudes.argmax())], None",
+        "return [int(self.magnitudes.size - 1 - self.magnitudes[::-1].argmax())], None",
+        (
+            "tests/test_agent.py::test_greedy_select_takes_the_argmax_with_lowest_slot_ties",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "beta is not annealed",
+        "agent.py",
+        "self.beta = self.schedule.value(updates)",
+        "self.beta = self.schedule.value(0)",
+        (
+            "tests/test_agent.py::test_stochastic_regression_at_eight_states",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
+        ),
+    ),
+)
+
+
+def run_tests(copy: Path, tests) -> tuple[set[str], subprocess.CompletedProcess]:
+    """Run ``tests`` in ``copy``; the node ids that failed or errored, and the finished pytest."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+            "--hypothesis-seed=0", *tests]
+    done = subprocess.run(args, cwd=copy, env=env, capture_output=True, text=True, timeout=900)
+    failed = {
+        line.split()[1]
+        for line in done.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    }
+    return failed, done
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant names: {sorted(unknown)}")
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        every_test = sorted({test for m in chosen for test in m.tests})
+        failed, done = run_tests(copy, every_test)
+        if done.returncode != 0:
+            print(done.stdout + done.stderr)
+            print(f"the clean copy fails {sorted(failed)}")
+            return 1
+        survivors = []
+        for mutant in chosen:
+            path = copy / "src" / "prioritized_replay" / mutant.file
+            original = path.read_text()
+            if original.count(mutant.old) != 1:
+                print(f"{mutant.name}: the old text occurs {original.count(mutant.old)} times in {mutant.file}")
+                return 1
+            path.write_text(original.replace(mutant.old, mutant.new))
+            try:
+                failed, _ = run_tests(copy, mutant.tests)
+            finally:
+                path.write_text(original)
+            passed = [test for test in mutant.tests if test not in failed]
+            print(f"{'SURVIVED' if passed else 'killed':8}  {mutant.name}" + (f": {passed} pass" if passed else ""))
+            if passed:
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -405,6 +405,9 @@ OPERATIONS = st.one_of(
 # most generated sequences make fewer than 7 heap updates; this one makes 8,
 # with draws after the re-sort
 @example(capacity=3, clip=False, ops=[("store",)] * 3 + [("update", 1, -2.0), ("store",), ("sample", 2)] * 4)
+# a draw at 10 transitions, then one at 11: within 10% of 10, where an
+# approximate partition cache would reuse the old partition
+@example(capacity=11, clip=False, ops=[("store",)] * 10 + [("sample", 4), ("store",), ("sample", 4)])
 def test_samplers_match_a_naive_model(capacity, clip, ops):
     """Random store/update/sample sequences against a list of priorities:
     every priority and the running maximum match after each step, and the
@@ -443,6 +446,9 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                         continue
                     batch = sampler.sample(args[0])
                     assert all(model[slot] is not None for slot in batch.indices)
+                    if cls is RankSampler:
+                        # the draws index ranks without clamping them, and every live rank is reachable
+                        assert sampler._partition.size == len(sampler)
                     if cls is ProportionalSampler:
                         tree = sampler.tree
                         assert batch.probabilities.tolist() == [leaves(tree)[s] / tree.total for s in batch.indices]
@@ -450,7 +456,6 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                 if cls is RankSampler:
                     assert sampler.heap.steps_since_sort < 7
                     if sampler._partition is not None:
-                        # the draws index ranks without clamping them to the live count
                         assert sampler._partition.size <= len(sampler)
                 assert sampler.max_priority == top
                 for slot, priority in enumerate(model):

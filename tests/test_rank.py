@@ -315,20 +315,19 @@ def test_partition_masses_balance_within_discreteness(n, alpha, k):
     assert counts.min() >= 1 and counts.sum() == n
 
 
-def test_partition_cache_reuse_within_ten_percent():
+def test_a_grown_memory_gets_a_partition_of_its_own_size():
+    """Every draw on a growing memory uses a partition of the live count, so
+    the live ranks' probabilities sum to 1 and the newest rank is reachable."""
     sampler = RankSampler(SamplerConfig(capacity=200, alpha=0.7, minibatch=16))
     for _ in range(100):
         sampler.store(TERMINAL)
-    first = sampler.partition_for(16)
-    assert first.size == 100
-    for _ in range(8):  # occupancy 108, within 10% of 100
+    for _ in range(23):  # grow to 123, drawing after each store
         sampler.store(TERMINAL)
-    assert sampler.partition_for(16) is first
-    for _ in range(15):  # occupancy 123, past the reuse band
-        sampler.store(TERMINAL)
-    rebuilt = sampler.partition_for(16)
-    assert rebuilt is not first
-    assert rebuilt.size == 123
+        sampler.sample(16, rng=np.random.default_rng(0))
+        partition = sampler.partition_for(16)
+        assert partition is sampler._partition
+        assert partition.size == len(sampler)
+        assert piece_probabilities(partition, range(len(sampler))).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -459,13 +458,22 @@ def test_sample_draws_what_sample_many_draws(size, k):
     assert_sample_matches_the_bulk_path(stored_sampler(size, minibatch=k), k)
 
 
-def test_sample_draws_what_sample_many_draws_on_a_reused_partition():
-    sampler = stored_sampler(100, capacity=200)
+def grown_sampler(size, grown, **kwargs):
+    """``stored_sampler(size)`` with its partition built, then grown to ``grown``
+    transitions: the draws must use a partition rebuilt at the new count, in
+    which the newest rank is reachable."""
+    sampler = stored_sampler(size, **kwargs)
     first = sampler.partition_for(16)
-    for _ in range(9):  # occupancy 109, within 10% of 100: ranks past 100 unreachable
+    for _ in range(grown - size):
         sampler.store(TERMINAL)
-    assert sampler.partition_for(16) is first
-    assert_sample_matches_the_bulk_path(sampler, 16)
+    slots, _ = sampler._draw(16, LastStratumTop())
+    assert sampler._partition is not first and sampler._partition.size == grown
+    assert rank_of(sampler.heap, slots[-1]) == grown
+    return sampler
+
+
+def test_sample_draws_what_sample_many_draws_on_a_grown_memory():
+    assert_sample_matches_the_bulk_path(grown_sampler(100, 109, capacity=200), 16)
 
 
 # b minibatches of k whose b * k draws end just below, at and just past one
@@ -566,11 +574,8 @@ def test_sample_many_finds_each_piece_however_many_knots_a_stratum_holds(alpha, 
 
 
 @pytest.mark.parametrize("alpha", [0.7, 3.0])
-def test_sample_many_finds_each_piece_on_a_reused_partition(alpha):
-    sampler = stored_sampler(16, capacity=32, alpha=alpha)
-    first = sampler.partition_for(16)
-    sampler.store(TERMINAL)  # occupancy 17, within 10% of 16: rank 17 unreachable
-    assert sampler.partition_for(16) is first
+def test_sample_many_finds_each_piece_on_a_grown_memory(alpha):
+    sampler = grown_sampler(16, 17, capacity=32, alpha=alpha)
     assert_sample_many_draws_what_successive_samples_draw(sampler, 16, 200)
 
 

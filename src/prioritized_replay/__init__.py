@@ -16,7 +16,6 @@ from .cliffwalk import (
     value_iteration_q,
 )
 from .core import (
-    DEFAULT_EPSILON,
     PrioritizedMemory,
     SampledBatch,
     SamplerConfig,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealSchedule",
     "Cliffwalk",
-    "DEFAULT_EPSILON",
     "Partition",
     "PrioritizedMemory",
     "ProportionalSampler",

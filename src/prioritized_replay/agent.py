@@ -119,7 +119,7 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     ``instrument`` is an optional callable ``(event, **data)`` receiving
     ``store`` events while the sampler fills, one ``replay`` event per applied
     update, and a final ``done`` event; it exists for tests and diagnostics.
-    ``initial_theta`` overrides the random parameter initialization.
+    ``initial_theta``, finite and only read, overrides the random initialization.
     """
     start = time.perf_counter()
     spec = Cliffwalk(config.n_states)
@@ -128,18 +128,18 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     root = np.random.SeedSequence([config.seed, config.n_states, strategy_id, repr_id])
     fill_seed, init_seed, loop_seed = root.spawn(3)
 
-    cells = fill_memory(spec, np.random.default_rng(fill_seed))
-    truth = ground_truth_q(spec)
     # one weight per cell, plus the shared bias weight in the linear case
     has_bias = config.representation == "linear"
     dimension = 2 * config.n_states + (1 if has_bias else 0)
-
     if initial_theta is not None:
-        theta = np.asarray(initial_theta, dtype=np.float64).copy()
-        if theta.shape != (dimension,):
-            raise ValueError(f"initial_theta must have shape ({dimension},)")
+        theta = np.asarray(initial_theta, dtype=np.float64)
+        if theta.shape != (dimension,) or not np.isfinite(theta).all():
+            raise ValueError(f"initial_theta must hold {dimension} finite values")
     else:
         theta = np.random.default_rng(init_seed).normal(0.0, INIT_SCALE, dimension)
+
+    cells = fill_memory(spec, np.random.default_rng(fill_seed))
+    truth = ground_truth_q(spec)
 
     loop_rng = np.random.default_rng(loop_seed)
     schedule = None
@@ -259,21 +259,24 @@ class _OracleSelector(_Selector):
         self.last_improvement = 0
 
     def next(self, updates: int, cq, bq):
-        q = np.array(cq) + bq
-        errors = q - self.truth
-        sse = float(errors @ errors)
-        if sse < self.best_sse:
-            self.best_sse = sse
-            self.last_improvement = updates
-        elif updates - self.last_improvement >= self.stall_window:
-            return [], None
-        boot = np.maximum(q[0::2], q[1::2])[self.next_state]
-        d = self.eta * (self.reward + self.discount * boot - q)
-        if self.has_bias:
-            s1 = float(errors.sum())
-            sse_after = sse + 2.0 * d * s1 + self.n_cells * d * d + (2.0 * errors + 3.0 * d) * d
-        else:
-            sse_after = sse + d * (2.0 * errors + d)
+        # overflowing values score as inf or nan, without a warning; the
+        # loop's non-finite stop then censors the run at its budget
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.array(cq) + bq
+            errors = q - self.truth
+            sse = float(errors @ errors)
+            if sse < self.best_sse:
+                self.best_sse = sse
+                self.last_improvement = updates
+            elif updates - self.last_improvement >= self.stall_window:
+                return [], None
+            boot = np.maximum(q[0::2], q[1::2])[self.next_state]
+            d = self.eta * (self.reward + self.discount * boot - q)
+            if self.has_bias:
+                s1 = float(errors.sum())
+                sse_after = sse + 2.0 * d * s1 + self.n_cells * d * d + (2.0 * errors + 3.0 * d) * d
+            else:
+                sse_after = sse + d * (2.0 * errors + d)
         c = int(self.cells_by_first_slot[sse_after[self.cells_by_first_slot].argmin()])
         step = float(d[c])
         slot = self.first_slot[c]
@@ -393,7 +396,4 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
                 break
 
     sse, _ = _exact_sums(cq, bq, truth_flat)
-    theta[:n_cells] = cq
-    if has_bias:
-        theta[-1] = bq
     return updates, converged, sse / n_cells

@@ -320,8 +320,14 @@ class CheckResult:
         return f"{status} {self.name}: measured {self.measured:.6g} vs threshold {self.threshold:.6g}{note}"
 
 
-def _dummy_transitions(count: int) -> list[Transition]:
-    return [Transition(0, 0, 0.0, 0.0, 0, is_terminal=True) for _ in range(count)]
+def _filled(sampler_cls, alpha: float, priorities):
+    """A full sampler of one slot per entry of ``priorities``, at those priorities."""
+    size = len(priorities)
+    sampler = sampler_cls(SamplerConfig(capacity=size, alpha=alpha, minibatch=size))
+    for i, priority in enumerate(priorities):
+        sampler.store(Transition(0, 0, 0.0, 0.0, 0, is_terminal=True))
+        sampler.update_priority(i, priority - sampler._epsilon)
+    return sampler
 
 
 def _distribution_check(name: str, sampler, target, rng, draws: int, threshold: float) -> CheckResult:
@@ -349,11 +355,7 @@ def check_sumtree_distribution(
 
     One slot per entry of ``priorities``; ``rng`` draws the strata.
     """
-    size = len(priorities)
-    sampler = ProportionalSampler(SamplerConfig(capacity=size, alpha=alpha, minibatch=size))
-    for i, t in enumerate(_dummy_transitions(size)):
-        sampler.store(t)
-        sampler.update_priority(i, priorities[i] - sampler.config.epsilon)
+    sampler = _filled(ProportionalSampler, alpha, priorities)
     target = sampling_probabilities(priorities, alpha)
     return _distribution_check(f"sum-tree stratified sampling, alpha={alpha}", sampler, target, rng, draws, threshold)
 
@@ -368,10 +370,7 @@ def check_rank_distribution(
     draws the strata.
     """
     size = len(priorities)
-    sampler = RankSampler(SamplerConfig(capacity=size, alpha=alpha, minibatch=size))
-    for i, t in enumerate(_dummy_transitions(size)):
-        sampler.store(t)
-        sampler.update_priority(i, priorities[i])
+    sampler = _filled(RankSampler, alpha, priorities)
     sampler.heap.sort()
     order = sorted(range(size), key=lambda i: (-priorities[i], i))
     ranks = np.empty(size, dtype=np.int64)
@@ -425,7 +424,7 @@ def check_partition_masses(
     if threshold is None:
         threshold = 1.0 / (2 * k)
     partition = build_partition(n, alpha, k)
-    deviation = float(np.abs(partition.segment_masses() - 1.0 / k).max())
+    deviation = float(np.abs(np.diff(partition.cumulative) - 1.0 / k).max())
     return CheckResult(
         name=f"partition mass balance, n={n}, alpha={alpha}, k={k}",
         measured=deviation,

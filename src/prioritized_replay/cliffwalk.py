@@ -86,13 +86,14 @@ def fill_memory(spec: Cliffwalk, rng: np.random.Generator | None = None) -> list
     if n > MAX_STATES:
         raise ValueError(f"exhaustive fill supports at most {MAX_STATES} states, got {n}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    terminal = [t.is_terminal for t in spec.transitions]
     cells: list[int] = []
     for sequence in rng.permutation(1 << n).tolist():
-        # step s takes action bit s; the episode ends at the first wrong action
+        # step s takes action bit s; the episode ends at its first terminal cell
         for state in range(n):
-            action = (sequence >> state) & 1
-            cells.append(2 * state + action)
-            if action != state % 2:
+            cell = 2 * state + ((sequence >> state) & 1)
+            cells.append(cell)
+            if terminal[cell]:
                 break
     return cells
 

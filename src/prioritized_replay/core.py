@@ -10,7 +10,6 @@ from typing import ClassVar
 import numpy as np
 
 __all__ = [
-    "DEFAULT_EPSILON",
     "INITIAL_PRIORITY",
     "Transition",
     "SamplerConfig",
@@ -19,8 +18,6 @@ __all__ = [
     "td_magnitude",
     "PrioritizedMemory",
 ]
-
-DEFAULT_EPSILON = 1e-6
 
 # Priority given to the very first entry of an empty memory; every later
 # insertion uses the running maximum of all priorities assigned so far.
@@ -69,7 +66,7 @@ class SamplerConfig:
     minibatch: int = 16
     clip_td: bool = False
     seed: int = 0
-    epsilon: ClassVar[float] = DEFAULT_EPSILON
+    epsilon: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         _check_count("capacity", self.capacity)

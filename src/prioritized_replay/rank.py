@@ -145,9 +145,6 @@ class Partition:
     size: int
     segments: int
 
-    def segment_masses(self) -> np.ndarray:
-        return np.diff(np.asarray(self.cumulative, dtype=np.float64))
-
 
 # typed: True must not hit the entry of an equal 1
 @lru_cache(maxsize=256, typed=True)

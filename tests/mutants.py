@@ -222,6 +222,51 @@ MUTANTS = (
             "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
         ),
     ),
+    Mutant(
+        "oracle scores overflowing values with numpy's warnings on",
+        "agent.py",
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        "with np.errstate():",
+        (
+            "tests/test_agent.py::test_an_overflowing_run_is_censored_at_its_budget[tabular-oracle]",
+            "tests/test_agent.py::test_an_overflowing_run_is_censored_at_its_budget[linear-oracle]",
+            "tests/test_bench.py::test_a_divergent_sweep_runs_through_the_cli[1e200]",
+        ),
+    ),
+    Mutant(
+        "squared error resynced after every update below 2^20",
+        "agent.py",
+        "_RESYNC_MASK = (1 << 20) - 1",
+        "_RESYNC_MASK = 1 << 20",
+        ("tests/test_agent.py::test_the_squared_error_resyncs_every_2_to_the_20_updates",),
+    ),
+    Mutant(
+        "squared error resynced one update late",
+        "agent.py",
+        "(updates & _RESYNC_MASK) == 0",
+        "(updates & _RESYNC_MASK) == 1",
+        ("tests/test_agent.py::test_the_squared_error_resyncs_every_2_to_the_20_updates",),
+    ),
+    Mutant(
+        "a non-finite initial_theta is let through",
+        "agent.py",
+        "if theta.shape != (dimension,) or not np.isfinite(theta).all():",
+        "if theta.shape != (dimension,):",
+        (
+            "tests/test_agent.py::test_an_initial_theta_that_is_not_finite_or_of_the_wrong_shape_is_refused[nan]",
+            "tests/test_agent.py::test_an_initial_theta_that_is_not_finite_or_of_the_wrong_shape_is_refused[inf]",
+        ),
+    ),
+    Mutant(
+        "the loop writes its values back into the caller's theta",
+        "agent.py",
+        "    sse, _ = _exact_sums(cq, bq, truth_flat)\n    return",
+        "    sse, _ = _exact_sums(cq, bq, truth_flat)\n    theta[:n_cells] = cq\n    return",
+        (
+            "tests/test_agent.py::test_a_run_only_reads_the_callers_initial_theta[tabular]",
+            "tests/test_agent.py::test_a_run_only_reads_the_callers_initial_theta[linear]",
+        ),
+    ),
 )
 
 

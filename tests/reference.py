@@ -80,7 +80,7 @@ def leaves(tree) -> np.ndarray:
 def piece_probabilities(partition, ranks) -> np.ndarray:
     """The probability of drawing each 0-based rank in ``ranks`` from a rank
     ``partition``: the mass of the piece j that holds it spread evenly over
-    the piece's ranks, ``segment_masses()[j] / np.diff(boundaries)[j]``."""
+    the piece's ranks, ``np.diff(cumulative)[j] / np.diff(boundaries)[j]``."""
     boundaries = np.asarray(partition.boundaries)
     pieces = np.searchsorted(boundaries, ranks, side="right") - 1
-    return (partition.segment_masses() / np.diff(boundaries))[pieces]
+    return (np.diff(partition.cumulative) / np.diff(boundaries))[pieces]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from prioritized_replay import DEFAULT_EPSILON, RankStore, RunConfig, SumTree, run_training
+from prioritized_replay import RankStore, RunConfig, SamplerConfig, SumTree, run_training
 from prioritized_replay.bench import (
     SweepConfig,
     check_is_unbiasedness,
@@ -196,7 +196,7 @@ def test_criterion_6_conservation_and_structure():
 
 @pytest.mark.parametrize("strategy", ["rank_stochastic", "proportional_stochastic"])
 def test_criterion_7_loop_conformance(strategy):
-    epsilon = DEFAULT_EPSILON
+    epsilon = SamplerConfig.epsilon
     budget = 4800
 
     stores = []

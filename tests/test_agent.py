@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prioritized_replay import Cliffwalk, RunConfig, fill_memory, ground_truth_q, run_training
+from prioritized_replay import Cliffwalk, RunConfig, agent, fill_memory, ground_truth_q, run_training
 from prioritized_replay.agent import INIT_SCALE, REPRESENTATIONS, STRATEGIES, _GreedySelector
 from reference import LinearQ, oracle_select
 
@@ -344,6 +344,69 @@ def test_a_diverging_run_is_censored_at_its_budget(strategy, representation):
     if strategy != "oracle" and not result.converged:
         assert result.updates == config.budget
         assert len(td_errors) < config.budget
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_an_overflowing_run_is_censored_at_its_budget(strategy, representation):
+    """At step size 1e200 the values overflow within a few updates. The
+    oracle scores them as inf or nan without a numpy warning, which this
+    suite's filter makes an error, so every strategy's run meets the loop's
+    non-finite stop and is censored at its budget."""
+    config = RunConfig(
+        n_states=4, strategy=strategy, representation=representation,
+        step_size=1e200, budget=100_000,
+    )
+    result = run_training(config)
+    assert (result.updates, result.converged) == (config.budget, False)
+
+
+def test_the_squared_error_resyncs_every_2_to_the_20_updates(monkeypatch):
+    """The loop keeps its squared error incrementally and sums it exactly
+    before the first update, after every 2^20th and after the last. Uniform
+    replay draws 8,192 slots a call, so update 2^20 ends the 128th draw."""
+    draws = 0
+    draws_at_sum = []
+    draw = agent._UniformSelector.next
+    exact_sums = agent._exact_sums
+
+    def counted_draw(self, *args):
+        nonlocal draws
+        draws += 1
+        return draw(self, *args)
+
+    def recorded_sums(*args):
+        draws_at_sum.append(draws)
+        return exact_sums(*args)
+
+    monkeypatch.setattr(agent._UniformSelector, "next", counted_draw)
+    monkeypatch.setattr(agent, "_exact_sums", recorded_sums)
+    config = RunConfig(n_states=2, strategy="uniform", mse_threshold=0.0, budget=(1 << 20) + 1)
+    assert run_training(config).updates == config.budget
+    assert draws_at_sum == [0, 128, 129]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+def test_an_initial_theta_that_is_not_finite_or_of_the_wrong_shape_is_refused(bad, monkeypatch):
+    """The check comes before the memory fill."""
+    theta = np.zeros(dimension(4) + (1 if bad is None else 0))
+    if bad is not None:
+        theta[3] = bad
+    monkeypatch.setattr(agent, "fill_memory", None)
+    for strategy in ("uniform", "oracle"):
+        with pytest.raises(ValueError, match="initial_theta"):
+            run_training(RunConfig(n_states=4, strategy=strategy), initial_theta=theta)
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_a_run_only_reads_the_callers_initial_theta(representation):
+    theta = np.random.default_rng(5).normal(0.0, 0.2, dimension(4, representation == "linear"))
+    before = theta.copy()
+    config = RunConfig(
+        n_states=4, strategy="uniform", representation=representation, budget=1000, mse_threshold=0.0
+    )
+    assert run_training(config, initial_theta=theta).updates == 1000
+    assert np.array_equal(theta, before)
 
 
 def test_greedy_refreshes_the_stored_magnitude_after_replay():

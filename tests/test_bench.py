@@ -451,6 +451,21 @@ def test_cli_sweep_writes_files(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("eta", ["3", "1e200"])
+def test_a_divergent_sweep_runs_through_the_cli(eta, tmp_path, capsys):
+    """Diverging runs end without a numpy warning, which this suite's filter
+    makes an error; one job keeps every run, and any warning, in this
+    process. At 1e200 every run overflows and is censored at its budget."""
+    code = main(
+        ["sweep", "--sizes", "4,6", "--seeds", "2", "--jobs", "1", "--eta", eta, "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    raw = read_rows(tmp_path / "runs.csv")
+    assert len(raw) == 2 * 5 * 2 * 2
+    if eta == "1e200":
+        assert {(r["censored"], r["updates"]) for r in raw} == {("true", str(SweepConfig.budget))}
+
+
 def test_cli_out_dir_defaults_to_bench_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reference import leaves
 
 from prioritized_replay import (
-    DEFAULT_EPSILON,
     AnnealSchedule,
     ProportionalSampler,
     RankSampler,
@@ -127,7 +126,7 @@ def test_sampler_config_validation():
     for setting in ("epsilon", "resort_interval"):
         with pytest.raises(TypeError):
             SamplerConfig(capacity=4, **{setting: 1})
-    assert SamplerConfig(capacity=4).epsilon == DEFAULT_EPSILON
+    assert SamplerConfig(capacity=4).epsilon == 1e-6
     with pytest.raises(ValueError):
         SamplerConfig(capacity=4, alpha=-1.0)
     for bad_alpha in (float("nan"), float("inf"), -float("inf")):

@@ -271,7 +271,7 @@ def test_heap_layout_matches_a_swap_based_heap(resort_interval, ops):
 def test_partition_example_four_ranks_two_segments():
     partition = build_partition(4, 1.0, 2)
     assert partition.boundaries == (0, 2, 4)
-    assert np.allclose(partition.segment_masses(), [0.72, 0.28])
+    assert np.allclose(np.diff(partition.cumulative), [0.72, 0.28])
     harmonic = 1 + 1 / 2 + 1 / 3 + 1 / 4
     assert partition.cumulative[1] == pytest.approx((1 + 0.5) / harmonic)
 
@@ -279,7 +279,7 @@ def test_partition_example_four_ranks_two_segments():
 def test_partition_alpha_zero_gives_equal_counts():
     partition = build_partition(12, 0.0, 4)
     assert partition.boundaries == (0, 3, 6, 9, 12)
-    assert np.allclose(partition.segment_masses(), 0.25)
+    assert np.allclose(np.diff(partition.cumulative), 0.25)
 
 
 def test_partition_single_segment_and_singletons():
@@ -308,7 +308,7 @@ def test_partition_rejects_a_count_that_is_not_an_integer():
 )
 def test_partition_masses_balance_within_discreteness(n, alpha, k):
     partition = build_partition(n, alpha, k)
-    masses = partition.segment_masses()
+    masses = np.diff(partition.cumulative)
     assert np.abs(masses - 1.0 / k).max() <= 1.0 / (2 * k)
     assert masses.sum() == pytest.approx(1.0)
     counts = np.diff(partition.boundaries)
@@ -524,7 +524,7 @@ def test_a_stratum_end_rounding_to_one_draws_from_the_last_piece(size, capacity)
     assert (15 + (1.0 - 2.0**-53)) / 16 == 1.0  # past the last knot's bisect
     slots, probs = sampler._draw(16, LastStratumTop())
     assert part.boundaries[-2] < rank_of(sampler.heap, slots[-1]) <= min(part.size, size)
-    assert probs[-1] == part.segment_masses()[-1] / np.diff(part.boundaries)[-1]
+    assert probs[-1] == np.diff(part.cumulative)[-1] / np.diff(part.boundaries)[-1]
     assert sampler.sample(16, rng=LastStratumTop()).indices == slots
 
 

@@ -11,6 +11,7 @@ each segment while keeping segment masses equal up to discreteness.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,15 +33,16 @@ class RankStore:
     Heap positions double as approximate ranks: position 0 is rank 1. Every
     key update sifts the entry and bumps ``steps_since_sort``; once that
     counter reaches ``RESORT_INTERVAL`` the array is fully sorted (which also
-    restores exact ranks) and the counter resets. The inverse index
-    ``slot -> position`` is maintained through every move.
+    restores exact ranks) and the counter resets. Keys and slots are Python
+    lists; the inverse index ``slot -> position`` is an int64 ``array`` (8 B a
+    slot; -1 for an absent slot), maintained through every move.
     """
 
     def __init__(self, capacity: int):
         _check_count("capacity", capacity)
         self._keys: list[float] = []
         self._slots: list[int] = []
-        self._pos: list[int] = [-1] * capacity
+        self._pos = array("q", [-1]) * capacity
         self.steps_since_sort = 0
 
     def __len__(self) -> int:
@@ -59,9 +61,10 @@ class RankStore:
             raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")
         if self._pos[slot] >= 0:
             raise ValueError(f"slot {slot} already present")
+        self._pos[slot] = end = len(self._keys)
         self._keys.append(key)
         self._slots.append(slot)
-        self._sift(len(self._keys) - 1, slot, key)
+        self._sift(end, slot, key)
 
     def update(self, slot: int, key: float) -> None:
         # a negative slot would index _pos from its end; one past its end
@@ -79,13 +82,14 @@ class RankStore:
     def sort(self) -> None:
         """Fully sort by key descending (ties: older slot first); resets the counter."""
         # slots are unique, so (key descending, slot ascending) is a total
-        # order and the permutation is the one a tuple-key sort gives
-        order = np.lexsort((np.asarray(self._slots), -np.asarray(self._keys))).tolist()
-        keys, slots = self._keys, self._slots
-        self._keys = [keys[i] for i in order]
-        self._slots = [slots[i] for i in order]
-        for position, slot in enumerate(self._slots):
-            self._pos[slot] = position
+        # order and the permutation is the one a tuple-key sort gives. The
+        # lists are permuted as object arrays, so every entry keeps its own
+        # Python object and no int is boxed per entry
+        slots = np.array(self._slots, dtype=np.int64)
+        order = np.lexsort((slots, -np.array(self._keys, dtype=np.float64)))
+        self._keys = np.array(self._keys, dtype=object)[order].tolist()
+        self._slots = np.array(self._slots, dtype=object)[order].tolist()
+        np.frombuffer(self._pos, dtype=np.int64)[slots[order]] = np.arange(order.size)
         self.steps_since_sort = 0
 
     def heap_ordered(self) -> bool:
@@ -93,21 +97,24 @@ class RankStore:
         return all(keys[(i - 1) >> 1] >= keys[i] for i in range(1, len(keys)))
 
     def _sift(self, i: int, slot: int, key: float) -> None:
-        """Place ``(key, slot)`` at position ``i`` and restore the heap order.
+        """Give the entry at position ``i`` (slot ``slot``, its position already
+        indexed) the key ``key`` and restore the heap order.
 
         The entry moves up while its key is strictly above its parent's, and
         only if it did not move up, down while a child's key is strictly above
         its own (the left child wins a tie between children). Every displaced
         entry shifts one level into the hole and the moving entry is written
         once, at its final position: the layout a sift by pairwise swaps gives.
+        Its slot and position are written only if it moved.
         """
         keys, slots, pos = self._keys, self._slots, self._pos
         start = i
         while i > 0:
             parent = (i - 1) >> 1
-            if not key > keys[parent]:
+            above = keys[parent]
+            if not key > above:
                 break
-            keys[i] = keys[parent]
+            keys[i] = above
             slots[i] = moved = slots[parent]
             pos[moved] = i
             i = parent
@@ -117,17 +124,22 @@ class RankStore:
                 child = 2 * i + 1
                 if child >= n:
                     break
-                if child + 1 < n and keys[child + 1] > keys[child]:
-                    child += 1
-                if not keys[child] > key:
+                below = keys[child]
+                if child + 1 < n:
+                    right = keys[child + 1]
+                    if right > below:
+                        child += 1
+                        below = right
+                if not below > key:
                     break
-                keys[i] = keys[child]
+                keys[i] = below
                 slots[i] = moved = slots[child]
                 pos[moved] = i
                 i = child
         keys[i] = key
-        slots[i] = slot
-        pos[slot] = i
+        if i != start:
+            slots[i] = slot
+            pos[slot] = i
 
 
 @dataclass(frozen=True)

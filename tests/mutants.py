@@ -116,19 +116,56 @@ MUTANTS = (
             '            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")\n'
             "        if self._pos[slot] >= 0:\n"
             '            raise ValueError(f"slot {slot} already present")\n'
+            "        self._pos[slot] = end = len(self._keys)\n"
             "        self._keys.append(key)\n"
             "        self._slots.append(slot)\n"
         ),
         (
+            "        end = len(self._keys)\n"
             "        self._keys.append(key)\n"
             "        self._slots.append(slot)\n"
             "        if not 0 <= slot < len(self._pos):\n"
             '            raise IndexError(f"slot {slot} out of range for capacity {len(self._pos)}")\n'
             "        if self._pos[slot] >= 0:\n"
             '            raise ValueError(f"slot {slot} already present")\n'
+            "        self._pos[slot] = end\n"
         ),
         (
             "tests/test_rank.py::test_a_slot_out_of_range_is_refused_before_anything_changes",
+        ),
+    ),
+    Mutant(
+        "rank insert leaves the new slot's position unset",
+        "rank.py",
+        "        self._pos[slot] = end = len(self._keys)\n",
+        "        end = len(self._keys)\n",
+        (
+            "tests/test_rank.py::test_heap_layout_matches_a_swap_based_heap",
+            "tests/test_rank.py::test_heap_property_holds_after_every_operation",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "rank sift leaves a moved entry's position stale",
+        "rank.py",
+        "            slots[i] = slot\n            pos[slot] = i\n",
+        "            slots[i] = slot\n",
+        (
+            "tests/test_rank.py::test_heap_layout_matches_a_swap_based_heap",
+            "tests/test_rank.py::test_heap_property_holds_after_every_operation",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "rank sort scatters positions from the unsorted slots",
+        "rank.py",
+        "np.frombuffer(self._pos, dtype=np.int64)[slots[order]]",
+        "np.frombuffer(self._pos, dtype=np.int64)[slots]",
+        (
+            "tests/test_rank.py::test_heap_layout_matches_a_swap_based_heap",
+            "tests/test_rank.py::test_sort_keeps_the_position_index[tied]",
+            "tests/test_rank.py::test_full_sort_orders_keys_non_increasing",
+            "tests/test_rank.py::test_a_sort_boxes_no_int_per_entry",
         ),
     ),
     Mutant(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -210,19 +211,39 @@ class _UniformSelector(_Selector):
 
 class _GreedySelector(_Selector):
     """The slot with the largest stored |td|, replayed at weight 1; replaying
-    it overwrites the stored magnitude with the fresh |td|."""
+    it overwrites the stored magnitude with the fresh |td|.
+
+    The picks come from a lazy-deletion heap of (-|td|, slot) entries: a
+    refresh pushes one, and an entry is stale once its slot's magnitude is
+    another value. Every slot keeps a current entry, so the smallest current
+    one is the largest magnitude, ties to the lowest slot, as argmax picks.
+    Once stale entries make the heap hold more than 4 entries a slot, it is
+    rebuilt from the magnitudes alone.
+    """
 
     def __init__(self, size: int, clip: bool):
-        # every transition enters at the running max "priority"
-        self.magnitudes = np.full(size, 1.0)
+        # every transition enters at the running max "priority"; sorted, so a heap
+        self.magnitudes = [1.0] * size
+        self.heap = [(-1.0, slot) for slot in range(size)]
+        self.limit = 4 * size
         self.clip = clip
 
     def next(self, updates: int, cq, bq):
-        # argmax takes the first maximum: ties go to the lowest slot
-        return [int(self.magnitudes.argmax())], None
+        heap, magnitudes = self.heap, self.magnitudes
+        negated, slot = heap[0]
+        while -negated != magnitudes[slot]:
+            heappop(heap)
+            negated, slot = heap[0]
+        return [slot], None
 
     def refresh(self, slot: int, td_error: float) -> None:
-        self.magnitudes[slot] = td_magnitude(td_error, self.clip)
+        magnitude = td_magnitude(td_error, self.clip)
+        self.magnitudes[slot] = magnitude
+        heap = self.heap
+        heappush(heap, (-magnitude, slot))
+        if len(heap) > self.limit:
+            self.heap = [(-m, s) for s, m in enumerate(self.magnitudes)]
+            heapify(self.heap)
 
 
 class _OracleSelector(_Selector):
@@ -296,9 +317,9 @@ class _PrioritizedSelector(_Selector):
         sampler_config = SamplerConfig(capacity=len(cells), alpha=alpha, clip_td=config.clip_td)
         sampler_cls = RankSampler if strategy == "rank_stochastic" else ProportionalSampler
         self.sampler = sampler = sampler_cls(sampler_config)
-        for c in cells:
-            slot = sampler.store(spec.transitions[c])
-            if instrument is not None:
+        sampler.store_many(map(spec.transitions.__getitem__, cells))
+        if instrument is not None:
+            for slot in range(len(cells)):
                 instrument("store", slot=slot, priority=sampler.priority(slot))
         self.refresh = sampler.update_priority
         self.schedule = AnnealSchedule(beta0, 1.0, config.budget)

@@ -195,6 +195,25 @@ class PrioritizedMemory:
             self._size += 1
         return slot
 
+    def store_many(self, transitions) -> None:
+        """Fill an empty memory with ``transitions`` at slots 0, 1, ...: the
+        state that one :meth:`store` per transition leaves, in one call.
+
+        A non-empty memory, or no transitions or more than the capacity,
+        raises ValueError and changes nothing.
+        """
+        transitions = list(transitions)
+        count = len(transitions)
+        if self._size:
+            raise ValueError("store_many fills an empty memory only")
+        if not 0 < count <= self.config.capacity:
+            raise ValueError(f"store_many takes 1 to {self.config.capacity} transitions, got {count}")
+        # an empty memory's running max is every stored transition's priority
+        self._fill(count, self._max_priority)
+        self._transitions[:count] = transitions
+        self._cursor = count % self.config.capacity
+        self._size = count
+
     def update_priority(self, slot: int, td_error: float) -> None:
         """Refresh ``slot``'s priority from a freshly computed TD error.
 
@@ -236,6 +255,11 @@ class PrioritizedMemory:
 
     def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
         """Write a validated priority; ``occupied`` says whether the slot held one."""
+        raise NotImplementedError
+
+    def _fill(self, count: int, priority: float) -> None:
+        """Give slots 0 to ``count`` - 1 of an empty index structure ``priority``,
+        as ``count`` first stores would."""
         raise NotImplementedError
 
     def priority(self, slot: int) -> float:

@@ -220,6 +220,14 @@ class RankSampler(PrioritizedMemory):
         else:
             self.heap.insert(slot, priority)
 
+    def _fill(self, count: int, priority: float) -> None:
+        # equal keys appended in slot order already form a heap under the
+        # strict >, so no insert would move an entry: slot s sits at position s
+        heap = self.heap
+        heap._keys = [priority] * count
+        heap._slots = list(range(count))
+        np.frombuffer(heap._pos, dtype=np.int64)[:count] = np.arange(count)
+
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)
         return self.heap.key_of(slot)

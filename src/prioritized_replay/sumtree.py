@@ -38,7 +38,9 @@ class SumTree:
     therefore write to the array: they fall under the single-writer rule.
     """
 
-    __slots__ = ("capacity", "levels", "node_touches", "_nodes", "_stale", "_crossover", "_max_leaf")
+    __slots__ = (
+        "capacity", "levels", "node_touches", "_nodes", "_views", "_stale", "_crossover", "_max_leaf"
+    )
 
     def __init__(self, capacity: int):
         _check_count("capacity", capacity)
@@ -46,20 +48,42 @@ class SumTree:
         self.capacity = cap
         self.levels = cap.bit_length() - 1
         self._nodes = np.zeros(2 * cap - 1, dtype=np.float64)
+        self._bind_views()
         self.node_touches = 0
         # node ids of the leaves written since the last settle
         self._stale: list[int] = []
         # Settling this many stale leaves by walking their ancestors costs
-        # about as much as one rebuild: a walk costs about 3 us per level plus
-        # 16.5 ns per stale leaf and level, a rebuild 1.7 us per level plus
-        # 1.15 ns per leaf (fitted to settles timed on a 2-vCPU x86 host over
-        # capacities 2^9 to 2^18 and 1 to 512 stale leaves); below 2^15 leaves
-        # a rebuild always wins
-        self._crossover = max(1, cap // (15 * max(self.levels, 1)) - 80)
+        # about as much as one rebuild: a walk costs about 1.5 us per level
+        # plus 9.5 ns per stale leaf and level, a rebuild over the bound views
+        # 0.23 us per level plus 0.75 ns per leaf (fitted to settles timed on a
+        # 2-vCPU x86 host over capacities 2^9 to 2^18 and 1 to 512 stale
+        # leaves); below 2^15 leaves a rebuild always wins
+        self._crossover = max(1, cap // (13 * max(self.levels, 1)) - 130)
         # the largest leaf value: a power-of-two share of the float maximum,
         # so every node stays at or below its subtree's share, rounding
         # included, and no sum overflows to inf
         self._max_leaf = sys.float_info.max / cap
+
+    def _bind_views(self) -> None:
+        """Slice :meth:`rebuild`'s operands once: each level's (left children,
+        right children, parents) views of ``_nodes``, leaves first."""
+        nodes, views = self._nodes, []
+        first = self.capacity - 1  # a level of m nodes starts at node m - 1
+        while first > 0:
+            parents = (first - 1) >> 1
+            end = 2 * first + 1
+            views.append((nodes[first:end:2], nodes[first + 1 : end : 2], nodes[parents:first]))
+            first = parents
+        self._views = views
+
+    def __getstate__(self):
+        # a view pickles as a copy of its own, so a clone binds fresh ones
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_views"}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._bind_views()
 
     @property
     def nodes(self) -> np.ndarray:
@@ -177,19 +201,10 @@ class SumTree:
 
     def rebuild(self) -> None:
         """Recompute every internal node from the leaves: clears any drift and settles every pending write."""
-        nodes = self._nodes
-        size = self.capacity
-        offset = self.capacity - 1
-        while size > 1:
-            parent_offset = (offset - 1) >> 1
-            # each parent is the plain sum of its two children, as in a walk
-            np.add(
-                nodes[offset : offset + size : 2],
-                nodes[offset + 1 : offset + size : 2],
-                out=nodes[parent_offset:offset],
-            )
-            size >>= 1
-            offset = parent_offset
+        add = np.add
+        # each parent is the plain sum of its two children, as in a walk
+        for left, right, parents in self._views:
+            add(left, right, out=parents)
         self._stale.clear()
 
 
@@ -222,6 +237,16 @@ class ProportionalSampler(PrioritizedMemory):
         # leaves the raw priority untouched too
         self.tree.set_leaf(slot, leaf)
         self._raw[slot] = priority
+
+    def _fill(self, count: int, priority: float) -> None:
+        # the leaf store() writes, in one slice; a store charges its whole root
+        # path, and one rebuild settles what the stores would leave stale
+        leaf = priority**self._alpha
+        tree = self.tree
+        tree._nodes[tree.capacity - 1 : tree.capacity - 1 + count] = leaf
+        tree.node_touches += count * (tree.levels + 1)
+        tree.rebuild()
+        self._raw[:count] = priority
 
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)

@@ -101,11 +101,34 @@ MUTANTS = (
     Mutant(
         "rebuild keeps the stale list",
         "sumtree.py",
-        "            offset = parent_offset\n        self._stale.clear()",
-        "            offset = parent_offset",
+        "            add(left, right, out=parents)\n        self._stale.clear()",
+        "            add(left, right, out=parents)",
         (
             "tests/test_sumtree.py::test_rebuild_repairs_corruption",
             "tests/test_bench.py::test_corrupted_tree_fails_conservation",
+        ),
+    ),
+    Mutant(
+        "rebuild skips the root's level",
+        "sumtree.py",
+        "        while first > 0:",
+        "        while first > 1:",
+        (
+            "tests/test_sumtree.py::test_rebuild_repairs_corruption",
+            "tests/test_sumtree.py::test_writes_reach_a_rebound_or_unpickled_array",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "store_many skips the rebuild",
+        "sumtree.py",
+        "        tree.node_touches += count * (tree.levels + 1)\n        tree.rebuild()\n",
+        "        tree.node_touches += count * (tree.levels + 1)\n",
+        (
+            "tests/test_core.py::test_store_many_leaves_the_state_of_a_store_per_transition[proportional-5-3]",
+            "tests/test_core.py::test_store_many_leaves_the_state_of_a_store_per_transition[proportional-8190-8190]",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
         ),
     ),
     Mutant(
@@ -154,6 +177,17 @@ MUTANTS = (
             "tests/test_rank.py::test_heap_layout_matches_a_swap_based_heap",
             "tests/test_rank.py::test_heap_property_holds_after_every_operation",
             "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "the rank store_many leaves the position index unset",
+        "rank.py",
+        "        np.frombuffer(heap._pos, dtype=np.int64)[:count] = np.arange(count)\n",
+        "",
+        (
+            "tests/test_core.py::test_store_many_leaves_the_state_of_a_store_per_transition[rank-5-3]",
+            "tests/test_core.py::test_store_many_leaves_the_state_of_a_store_per_transition[rank-8190-8190]",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
         ),
     ),
     Mutant(
@@ -242,11 +276,25 @@ MUTANTS = (
     Mutant(
         "greedy ties go to the highest slot",
         "agent.py",
-        "return [int(self.magnitudes.argmax())], None",
-        "return [int(self.magnitudes.size - 1 - self.magnitudes[::-1].argmax())], None",
+        "            negated, slot = heap[0]\n        return [slot], None",
+        (
+            "            negated, slot = heap[0]\n"
+            "        return [max(s for v, s in heap if v == negated and -v == magnitudes[s])], None"
+        ),
         (
             "tests/test_agent.py::test_greedy_select_takes_the_argmax_with_lowest_slot_ties",
+            "tests/test_agent.py::test_greedy_picks_what_argmax_picks_over_a_list_of_magnitudes",
             "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "greedy accepts a stale heap entry",
+        "agent.py",
+        "        while -negated != magnitudes[slot]:",
+        "        while False:",
+        (
+            "tests/test_agent.py::test_greedy_picks_what_argmax_picks_over_a_list_of_magnitudes",
+            "tests/test_agent.py::test_greedy_select_takes_the_argmax_with_lowest_slot_ties",
         ),
     ),
     Mutant(

@@ -474,3 +474,60 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                 assert sampler.tree.nodes.tobytes() == pairwise_tree(leaves(sampler.tree)).tobytes()
             else:
                 assert sampler.heap.heap_ordered()
+
+
+def sampler_state(sampler):
+    """Everything a fill writes, bit for bit; a proportional tree is read settled."""
+    state = {
+        "transitions": list(sampler._transitions),
+        "max_priority": sampler.max_priority.hex(),
+        "cursor": sampler._cursor,
+        "size": len(sampler),
+    }
+    if isinstance(sampler, ProportionalSampler):
+        tree = sampler.tree
+        state.update(nodes=tree.nodes.tobytes(), raw=sampler._raw.tobytes(), touches=tree.node_touches)
+    else:
+        heap = sampler.heap
+        state.update(
+            keys=[float(key).hex() for key in heap._keys],
+            slots=list(heap._slots),
+            pos=heap._pos.tobytes(),
+            steps_since_sort=heap.steps_since_sort,
+        )
+    return state
+
+
+@pytest.mark.parametrize(
+    "capacity, count", [(1, 1), (5, 5), (5, 3), (512, 512), (512, 37), (8190, 8190), (8190, 4097)]
+)
+def test_store_many_leaves_the_state_of_a_store_per_transition(sampler_cls, capacity, count):
+    transitions = [Transition(i, i % 2, 0.0, 0.5, i + 1) for i in range(count)]
+    one_by_one, at_once = make_sampler(sampler_cls, capacity), make_sampler(sampler_cls, capacity)
+    for t in transitions:
+        one_by_one.store(t)
+    at_once.store_many(iter(transitions))
+    assert sampler_state(at_once) == sampler_state(one_by_one)
+    if sampler_cls is ProportionalSampler:
+        tree = at_once.tree
+        # the scalar power that a store's write computes
+        assert tree._nodes[tree.capacity - 1 :].tolist() == [1.0**0.7] * count + [0.0] * (tree.capacity - count)
+    else:
+        assert at_once.heap.heap_ordered()
+    # and the two go on alike: an eviction, or a store into the next free slot, then an update
+    for sampler in (one_by_one, at_once):
+        sampler.update_priority(sampler.store(TERMINAL), -2.5)
+    assert sampler_state(at_once) == sampler_state(one_by_one)
+
+
+@pytest.mark.parametrize(
+    "stored, count", [(1, 1), (2, 3), (0, 0), (0, 9)], ids=["into-one", "into-two", "none", "over-capacity"]
+)
+def test_store_many_refuses_a_non_empty_memory_or_a_bad_count_and_changes_nothing(sampler_cls, stored, count):
+    sampler = make_sampler(sampler_cls)
+    for _ in range(stored):
+        sampler.store(TERMINAL)
+    before = sampler_state(sampler)
+    with pytest.raises(ValueError, match="store_many"):
+        sampler.store_many([TERMINAL] * count)
+    assert sampler_state(sampler) == before

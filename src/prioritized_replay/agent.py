@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapreplace
 
 import numpy as np
 
@@ -213,37 +213,23 @@ class _GreedySelector(_Selector):
     """The slot with the largest stored |td|, replayed at weight 1; replaying
     it overwrites the stored magnitude with the fresh |td|.
 
-    The picks come from a lazy-deletion heap of (-|td|, slot) entries: a
-    refresh pushes one, and an entry is stale once its slot's magnitude is
-    another value. Every slot keeps a current entry, so the smallest current
-    one is the largest magnitude, ties to the lowest slot, as argmax picks.
-    Once stale entries make the heap hold more than 4 entries a slot, it is
-    rebuilt from the magnitudes alone.
+    The magnitudes live in a heap of (-|td|, slot) entries, one a slot, so
+    its top is the largest magnitude, ties to the lowest slot, as argmax
+    picks. The loop refreshes only the slot it was just given, the top, so a
+    refresh replaces the top entry.
     """
 
     def __init__(self, size: int, clip: bool):
         # every transition enters at the running max "priority"; sorted, so a heap
-        self.magnitudes = [1.0] * size
         self.heap = [(-1.0, slot) for slot in range(size)]
-        self.limit = 4 * size
         self.clip = clip
 
     def next(self, updates: int, cq, bq):
-        heap, magnitudes = self.heap, self.magnitudes
-        negated, slot = heap[0]
-        while -negated != magnitudes[slot]:
-            heappop(heap)
-            negated, slot = heap[0]
-        return [slot], None
+        return [self.heap[0][1]], None
 
     def refresh(self, slot: int, td_error: float) -> None:
-        magnitude = td_magnitude(td_error, self.clip)
-        self.magnitudes[slot] = magnitude
-        heap = self.heap
-        heappush(heap, (-magnitude, slot))
-        if len(heap) > self.limit:
-            self.heap = [(-m, s) for s, m in enumerate(self.magnitudes)]
-            heapify(self.heap)
+        assert slot == self.heap[0][1], "greedy refreshes only the slot it picked"
+        heapreplace(self.heap, (-td_magnitude(td_error, self.clip), slot))
 
 
 class _OracleSelector(_Selector):

@@ -66,6 +66,18 @@ class RankStore:
         self._slots.append(slot)
         self._sift(end, slot, key)
 
+    def fill(self, count: int, key: float) -> None:
+        """Insert slots 0 to ``count`` - 1 of an empty heap, all at ``key``."""
+        if self._keys:
+            raise ValueError("fill takes an empty heap only")
+        if not 0 < count <= len(self._pos):
+            raise ValueError(f"fill takes 1 to {len(self._pos)} slots, got {count}")
+        # equal keys appended in slot order already form a heap under the
+        # strict >, so no insert would move an entry: slot s sits at position s
+        self._keys = [key] * count
+        self._slots = list(range(count))
+        np.frombuffer(self._pos, dtype=np.int64)[:count] = np.arange(count)
+
     def update(self, slot: int, key: float) -> None:
         # a negative slot would index _pos from its end; one past its end
         # fails the lookup below, before anything changes
@@ -221,12 +233,7 @@ class RankSampler(PrioritizedMemory):
             self.heap.insert(slot, priority)
 
     def _fill(self, count: int, priority: float) -> None:
-        # equal keys appended in slot order already form a heap under the
-        # strict >, so no insert would move an entry: slot s sits at position s
-        heap = self.heap
-        heap._keys = [priority] * count
-        heap._slots = list(range(count))
-        np.frombuffer(heap._pos, dtype=np.int64)[:count] = np.arange(count)
+        self.heap.fill(count, priority)
 
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)

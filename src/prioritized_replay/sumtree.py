@@ -126,6 +126,20 @@ class SumTree:
         if len(stale) >= self.capacity:
             self.rebuild()
 
+    def fill(self, count: int, value: float) -> None:
+        """Write ``value`` at leaves 0 to ``count`` - 1 and settle them: the
+        tree, and the touches charged, that ``count`` :meth:`set_leaf` calls
+        and a read leave."""
+        if not 0 < count <= self.capacity:
+            raise ValueError(f"fill takes 1 to {self.capacity} leaves, got {count}")
+        value = float(value)
+        if not 0.0 <= value <= self._max_leaf:
+            raise ValueError(f"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}")
+        first = self.capacity - 1
+        self._nodes[first : first + count] = value
+        self.node_touches += count * (self.levels + 1)
+        self.rebuild()
+
     def _settle(self) -> None:
         """Recompute the ancestors of every stale leaf, children before parents."""
         stale = self._stale
@@ -239,13 +253,8 @@ class ProportionalSampler(PrioritizedMemory):
         self._raw[slot] = priority
 
     def _fill(self, count: int, priority: float) -> None:
-        # the leaf store() writes, in one slice; a store charges its whole root
-        # path, and one rebuild settles what the stores would leave stale
-        leaf = priority**self._alpha
-        tree = self.tree
-        tree._nodes[tree.capacity - 1 : tree.capacity - 1 + count] = leaf
-        tree.node_touches += count * (tree.levels + 1)
-        tree.rebuild()
+        # the scalar power that store() computes
+        self.tree.fill(count, priority**self._alpha)
         self._raw[:count] = priority
 
     def priority(self, slot: int) -> float:

@@ -111,9 +111,11 @@ def test_linear_update_reverts_within_tolerance():
 
 
 def greedy_pick(magnitudes):
+    # the loop refreshes only the slot it was given, so no stream of refreshes
+    # leaves a magnitude above 1 at any slot but the top: the helper writes
+    # the heap itself; a sorted list is a heap
     selector = _GreedySelector(len(magnitudes), clip=False)
-    for slot, magnitude in enumerate(magnitudes):
-        selector.refresh(slot, float(magnitude))
+    selector.heap = sorted((-float(m), slot) for slot, m in enumerate(magnitudes))
     slots, weights = selector.next(0, [], 0.0)
     assert weights is None
     return slots[0]
@@ -131,51 +133,30 @@ def test_greedy_choice_is_scale_invariant():
     assert greedy_pick(magnitudes) == greedy_pick(magnitudes * 37.5)
 
 
-# a refresh of the picked slot (as the loop makes), of any slot, or of a slot
-# to the magnitude it holds; few distinct values, so ties are common
+# a refresh of the picked slot, as the loop makes, to a fresh TD error or to
+# the magnitude it holds; few distinct values, so ties are common
 TDS = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0, 2.0, -3.0])
-GREEDY_OPS = st.one_of(
-    st.tuples(st.just("picked"), TDS),
-    st.tuples(st.just("slot"), st.integers(0, 99), TDS),
-    st.tuples(st.just("same"), st.integers(0, 99)),
-)
+GREEDY_OPS = st.one_of(TDS, st.just("same"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(size=st.integers(1, 6), clip=st.booleans(), ops=st.lists(GREEDY_OPS, max_size=80))
-# stale entries below the top are never popped: past 4 entries a slot, so the heap is rebuilt
-@example(size=3, clip=False, ops=[("slot", 2, 0.5)] * 12 + [("picked", 0.25)] * 20)
-@example(size=2, clip=True, ops=[("same", 1), ("picked", 2.0), ("slot", 0, -3.0)] * 10)
+@example(size=3, clip=False, ops=[0.5, 0.5, "same", 2.0, "same", 0.25, 0.25, 0.25, 2.0])
 def test_greedy_picks_what_argmax_picks_over_a_list_of_magnitudes(size, clip, ops):
     """Each pick is np.argmax over the magnitudes the refreshes left: the
-    largest, ties to the lowest slot, with stale heap entries skipped and the
-    heap rebuilt once it holds more than 4 entries a slot."""
+    largest, ties to the lowest slot."""
     selector = _GreedySelector(size, clip)
     model = [1.0] * size
-    for op, *args in ops:
+    for td in ops:
         slots, weights = selector.next(0, [], 0.0)
         assert slots == [int(np.argmax(model))] and weights is None
-        if op == "picked":
-            slot, td = slots[0], args[0]
-        elif op == "slot":
-            slot, td = args[0] % size, args[1]
-        else:
-            slot = args[0] % size
+        slot = slots[0]
+        if td == "same":
             td = model[slot]
         selector.refresh(slot, td)
         model[slot] = td_magnitude(td, clip)
-        assert len(selector.heap) <= 4 * size
+        assert len(selector.heap) == size
     assert selector.next(0, [], 0.0)[0] == [int(np.argmax(model))]
-
-
-def test_the_greedy_heap_is_rebuilt_past_four_entries_a_slot():
-    selector = _GreedySelector(3, clip=False)
-    for _ in range(9):
-        selector.refresh(2, 0.5)
-    assert len(selector.heap) == 12
-    selector.refresh(2, -0.5)
-    assert sorted(selector.heap) == [(-1.0, 0), (-1.0, 1), (-0.5, 2)]
-    assert selector.next(0, [], 0.0)[0] == [0]
 
 
 def test_oracle_on_a_single_transition_memory():

@@ -31,7 +31,7 @@ from heapq import heapreplace
 import numpy as np
 
 from .cliffwalk import MAX_STATES, Cliffwalk, fill_memory, ground_truth_q, memory_size
-from .core import SamplerConfig, _check_count, _check_nonnegative, _check_positive, td_magnitude
+from .core import INITIAL_PRIORITY, SamplerConfig, _check_count, _check_nonnegative, _check_positive, td_magnitude
 from .rank import RankSampler
 from .sumtree import ProportionalSampler
 from .weighting import AnnealSchedule, _check_exponent, is_weights
@@ -221,7 +221,7 @@ class _GreedySelector(_Selector):
 
     def __init__(self, size: int, clip: bool):
         # every transition enters at the running max "priority"; sorted, so a heap
-        self.heap = [(-1.0, slot) for slot in range(size)]
+        self.heap = [(-INITIAL_PRIORITY, slot) for slot in range(size)]
         self.clip = clip
 
     def next(self, updates: int, cq, bq):

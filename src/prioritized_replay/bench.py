@@ -380,11 +380,9 @@ def check_rank_distribution(
     return _distribution_check(f"rank stratified sampling, alpha={alpha}", sampler, target, rng, draws, threshold)
 
 
-def check_tree_conservation(
-    tree: SumTree | None = None, updates: int = 100_000, size: int = 1024, seed: int = 3,
-    threshold: float = 1e-6,
-) -> CheckResult:
-    """Structural sum conservation after a long stream of random updates.
+def check_tree_conservation(tree: SumTree | None = None, seed: int = 3, threshold: float = 1e-6) -> CheckResult:
+    """Structural sum conservation after a long stream of random updates
+    (100,000 writes over 1,024 leaves unless a tree is given).
 
     Verifies the root against the leaf total and every internal node against
     its two children (relative errors), so a single corrupted node anywhere
@@ -392,7 +390,7 @@ def check_tree_conservation(
     """
     rng = np.random.default_rng(seed)
     if tree is None:
-        tree = SumTree(size)
+        tree, updates = SumTree(1024), 100_000
         leaves = rng.integers(0, tree.capacity, size=updates)
         values = rng.uniform(0.0, 10.0, size=updates)
         set_leaf = tree.set_leaf

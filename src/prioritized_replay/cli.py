@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .bench import (
     VALIDATION_SLOTS,
@@ -24,14 +25,6 @@ from .core import _check_count
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags by default; usage problems are exit 1 here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
 
 
 def _flag_type(parse, *args):
@@ -54,7 +47,7 @@ def _count(name: str, minimum: int, raw: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="replay-bench", description=__doc__)
+    parser = argparse.ArgumentParser(prog="replay-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the cliff-walk benchmark grid and write CSV results")
@@ -78,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _sweep_command(args: argparse.Namespace) -> int:
     try:
         config = load_sweep_config(args.config, {f.name: getattr(args, f.name) for f in fields(SweepConfig)})
+        # before any cell runs, so an out dir that cannot be made loses no rows
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except (SweepConfigError, OSError) as exc:
         print(f"replay-bench: configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -111,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        # argparse exits 0 after --help and 2 on a usage error, exit 1 here
+        return 0 if exc.code == 0 else USAGE_ERROR
     if args.command == "sweep":
         return _sweep_command(args)
     return _validate_command(args)

@@ -98,7 +98,7 @@ def fill_memory(spec: Cliffwalk, rng: np.random.Generator | None = None) -> list
     return cells
 
 
-def value_iteration_q(spec: Cliffwalk, tol: float = 1e-12) -> np.ndarray:
+def value_iteration_q(spec: Cliffwalk) -> np.ndarray:
     """Independent fixed-point solve of the optimal action values, shape (n, 2)."""
     n = spec.n_states
     table = spec.transitions
@@ -108,7 +108,7 @@ def value_iteration_q(spec: Cliffwalk, tol: float = 1e-12) -> np.ndarray:
     q = np.zeros((n, 2))
     while True:
         backup = rewards + discounts * q[next_states].max(axis=2)
-        if np.abs(backup - q).max() < tol:
+        if np.abs(backup - q).max() < 1e-12:
             return backup
         q = backup
 

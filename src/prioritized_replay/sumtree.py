@@ -47,8 +47,16 @@ class SumTree:
         cap = 1 << (int(capacity) - 1).bit_length() if capacity > 1 else 1
         self.capacity = cap
         self.levels = cap.bit_length() - 1
-        self._nodes = np.zeros(2 * cap - 1, dtype=np.float64)
-        self._bind_views()
+        self._nodes = nodes = np.zeros(2 * cap - 1, dtype=np.float64)
+        # rebuild()'s operands, sliced once: each level's (left children,
+        # right children, parents) views of the array, leaves first
+        self._views = []
+        first = cap - 1  # a level of m nodes starts at node m - 1
+        while first > 0:
+            parents = (first - 1) >> 1
+            end = 2 * first + 1
+            self._views.append((nodes[first:end:2], nodes[first + 1 : end : 2], nodes[parents:first]))
+            first = parents
         self.node_touches = 0
         # node ids of the leaves written since the last settle
         self._stale: list[int] = []
@@ -64,26 +72,9 @@ class SumTree:
         # included, and no sum overflows to inf
         self._max_leaf = sys.float_info.max / cap
 
-    def _bind_views(self) -> None:
-        """Slice :meth:`rebuild`'s operands once: each level's (left children,
-        right children, parents) views of ``_nodes``, leaves first."""
-        nodes, views = self._nodes, []
-        first = self.capacity - 1  # a level of m nodes starts at node m - 1
-        while first > 0:
-            parents = (first - 1) >> 1
-            end = 2 * first + 1
-            views.append((nodes[first:end:2], nodes[first + 1 : end : 2], nodes[parents:first]))
-            first = parents
-        self._views = views
-
-    def __getstate__(self):
-        # a view pickles as a copy of its own, so a clone binds fresh ones
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_views"}
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._bind_views()
+    def __reduce__(self):
+        # a clone's bound views would be copies, not views of its own array
+        raise TypeError(f"{type(self).__name__} cannot be pickled or copied")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -241,6 +232,9 @@ class ProportionalSampler(PrioritizedMemory):
         self._alpha = config.alpha
         self._epsilon = config.epsilon
         self._raw = np.zeros(self.tree.capacity, dtype=np.float64)
+
+    # a shallow copy would share the tree rather than reach its refusal
+    __reduce__ = SumTree.__reduce__
 
     def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
         try:

@@ -115,7 +115,7 @@ MUTANTS = (
         "        while first > 1:",
         (
             "tests/test_sumtree.py::test_rebuild_repairs_corruption",
-            "tests/test_sumtree.py::test_writes_reach_a_rebound_or_unpickled_array",
+            "tests/test_sumtree.py::test_writes_reach_the_bound_views",
             "tests/test_core.py::test_samplers_match_a_naive_model",
             "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
         ),
@@ -338,6 +338,31 @@ MUTANTS = (
             "tests/test_agent.py::test_a_run_only_reads_the_callers_initial_theta[tabular]",
             "tests/test_agent.py::test_a_run_only_reads_the_callers_initial_theta[linear]",
         ),
+    ),
+    Mutant(
+        "the sum tree pickles and copies by default",
+        "sumtree.py",
+        "    def __reduce__(self):",
+        "    def _reduce(self):",
+        tuple(
+            f"tests/test_sumtree.py::test_a_tree_refuses_pickling_and_copying[{owner}-{clone}]"
+            for owner in ("tree", "sampler")
+            for clone in ("pickle", "copy", "deepcopy")
+        ),
+    ),
+    Mutant(
+        "main returns argparse's raw exit code",
+        "cli.py",
+        "        return 0 if exc.code == 0 else USAGE_ERROR",
+        "        return exc.code",
+        ("tests/test_bench.py::test_cli_usage_errors_exit_one",),
+    ),
+    Mutant(
+        "the out dir is made only after the sweep",
+        "cli.py",
+        "        Path(config.out_dir).mkdir(parents=True, exist_ok=True)\n",
+        "",
+        ("tests/test_bench.py::test_an_out_dir_that_cannot_be_made_fails_before_any_cell_runs",),
     ),
 )
 

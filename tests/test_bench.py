@@ -406,8 +406,17 @@ def test_cli_validate_exit_code_on_failure(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("usage: replay-bench") == 2 and "--out-dir" in out
+
+
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--sizes", "2", "--budget", "not-a-number"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: replay-bench sweep") and "replay-bench sweep: error: argument --budget" in err
     missing = tmp_path / "nope.cfg"
     assert main(["sweep", str(missing)]) == 1
     bad = tmp_path / "bad.cfg"
@@ -464,6 +473,22 @@ def test_a_divergent_sweep_runs_through_the_cli(eta, tmp_path, capsys):
     assert len(raw) == 2 * 5 * 2 * 2
     if eta == "1e200":
         assert {(r["censored"], r["updates"]) for r in raw} == {("true", str(SweepConfig.budget))}
+
+
+def test_an_out_dir_that_cannot_be_made_fails_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return run_training(config)
+
+    monkeypatch.setattr(bench, "run_training", counted)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    flags = ["--strategies", "uniform", "--representations", "tabular", "--seeds", "1", "--jobs", "1"]
+    assert main(["sweep", "--sizes", "2", *flags, "--out-dir", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err and not calls
 
 
 def test_cli_out_dir_defaults_to_bench_out(tmp_path, monkeypatch):

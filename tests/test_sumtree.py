@@ -1,3 +1,4 @@
+import copy
 import pickle
 import sys
 
@@ -168,17 +169,22 @@ def test_fill_refuses_a_bad_count_or_value_and_changes_nothing():
     assert same_bits(tree.nodes, before) and tree.node_touches == touches
 
 
-def test_writes_reach_a_rebound_or_unpickled_array():
+def test_writes_reach_the_bound_views():
     tree = filled_tree([1, 2, 3, 4])
     tree.set_leaf(0, 5.0)
     assert tree.total == 14.0
-    clone = pickle.loads(pickle.dumps(tree))
-    clone.set_leaf(3, 0.0)
-    assert (clone.total, tree.total) == (10.0, 14.0)
-    assert clone.find_many([9.9]).tolist() == [2]
-    # pickled with writes pending: the clone settles them itself
-    clone = pickle.loads(pickle.dumps(filled_tree([1, 2, 3, 4])))
-    assert same_bits(clone.nodes, eager_nodes(4, enumerate([1, 2, 3, 4])))
+    assert tree.find_many([9.9]).tolist() == [2]
+
+
+@pytest.mark.parametrize("clone", [pickle.dumps, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("owner", ["tree", "sampler"])
+def test_a_tree_refuses_pickling_and_copying(owner, clone):
+    """A clone's bound views would be copies apart from its array, so its
+    writes would never reach the sums it reads; a sampler's shallow copy
+    would share the tree instead."""
+    target = filled_tree([1, 2, 3, 4]) if owner == "tree" else ProportionalSampler(SamplerConfig(capacity=4))
+    with pytest.raises(TypeError, match="cannot be pickled or copied"):
+        clone(target)
 
 
 # -- value lookup ---------------------------------------------------------------

@@ -159,15 +159,16 @@ class Partition:
     """Rank segments of (approximately) equal mass under P(rank) ~ rank**-alpha.
 
     ``boundaries`` holds k+1 ascending rank offsets with boundaries[0] == 0 and
-    boundaries[-1] == size; segment j covers ranks boundaries[j]+1 ..
+    boundaries[-1] == n; segment j covers ranks boundaries[j]+1 ..
     boundaries[j+1]. ``cumulative`` holds the exact cumulative mass at each
-    boundary, which is what sampling inverts.
+    boundary, which is what sampling inverts. ``pieces`` holds each segment's
+    (first rank, rank count, knot, mass) for the draws, except a tail whose mass
+    rounds away: masses shrink with rank, so that tail's knots are exactly 1.0.
     """
 
     boundaries: tuple[int, ...]
     cumulative: tuple[float, ...]
-    size: int
-    segments: int
+    pieces: tuple[tuple[int, int, float, float], ...]
 
 
 # typed: True must not hit the entry of an equal 1
@@ -197,13 +198,10 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
         r = min(r, n - (k - j))
         boundaries.append(r)
     boundaries.append(n)
-    cumulative = (0.0, *(float(cum[b - 1]) for b in boundaries[1:]))
-    return Partition(
-        boundaries=tuple(boundaries),
-        cumulative=cumulative,
-        size=n,
-        segments=k,
-    )
+    b = tuple(boundaries)
+    c = (0.0, *(float(cum[r - 1]) for r in b[1:]))
+    pieces = tuple((b[j], b[j + 1] - b[j], c[j], c[j + 1] - c[j]) for j in range(k) if c[j] < 1.0)
+    return Partition(boundaries=b, cumulative=c, pieces=pieces)
 
 
 class RankSampler(PrioritizedMemory):
@@ -212,19 +210,16 @@ class RankSampler(PrioritizedMemory):
     The priority key is |td| itself (no floor needed: even the worst rank has
     positive mass). Draws are stratified: [0, 1) splits into k equal
     probability ranges, one uniform value is taken from each, and each value
-    maps to a rank through the partition's piecewise-linear cumulative mass.
-    The reported probability of a draw is its segment's exact mass spread
-    uniformly over the segment's ranks, i.e. precisely the distribution the
-    draw was taken from.
+    maps to a rank through the piecewise-linear cumulative mass of the live
+    count's partition, read from build_partition's cache at every draw. The
+    reported probability of a draw is its segment's exact mass spread uniformly
+    over the segment's ranks, exactly the distribution the draw was taken from.
     """
 
     def __init__(self, config: SamplerConfig):
         super().__init__(config)
         self.heap = RankStore(config.capacity)
         self._alpha = config.alpha
-        self._partition: Partition | None = None
-        # (first rank, rank count, cumulative mass at start, mass) per segment
-        self._pieces: list[tuple[int, int, float, float]] = []
 
     def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
         if occupied:
@@ -241,31 +236,24 @@ class RankSampler(PrioritizedMemory):
 
     def partition_for(self, k: int) -> Partition:
         """The partition of the live count into ``min(k, count)`` segments,
-        rebuilt whenever the count or the segment count changes."""
+        from :func:`build_partition`'s cache."""
         n = self._size
         if n == 0:
             raise ValueError("cannot partition an empty memory")
-        segments = min(k, n)
-        p = self._partition
-        if p is None or p.size != n or p.segments != segments:
-            p = build_partition(n, self._alpha, segments)
-            self._partition = p
-            b, c = p.boundaries, p.cumulative
-            self._pieces = [(b[j], b[j + 1] - b[j], c[j], c[j + 1] - c[j]) for j in range(segments)]
-        return p
+        return build_partition(n, self._alpha, min(k, n))
 
     # an alias, so perfbench's tracer finds ``sample`` in this class's own __dict__
     sample = PrioritizedMemory.sample
 
     def _draw(self, k: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
-        knots = self.partition_for(k).cumulative
-        pieces = self._pieces
+        p = self.partition_for(k)
+        knots, pieces = p.cumulative, p.pieces
         last_piece = len(pieces) - 1
         heap_slots = self.heap._slots
         # sample_many's arithmetic in the same order, on Python scalars (numpy's
         # per-call overhead on k-element arrays, and min()'s, cost more than
-        # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative; u can
-        # round to 1.0 (piece `segments`). The partition spans the live count, so no rank clamp
+        # the arithmetic). u >= knots[0] = 0 keeps piece and rank nonnegative; u can round
+        # to 1.0, past the last piece with mass. The partition spans the live count, so no rank clamp
         slots, probs = [], []
         for j, r in enumerate(rng.random(k).tolist()):
             u = (j + r) / k
@@ -286,8 +274,9 @@ class RankSampler(PrioritizedMemory):
         :meth:`_draw`'s arithmetic in its order, in chunks of whole
         minibatches (about ``_BULK_CHUNK`` draws) in place."""
         rng = self._rng_for(k, batches, rng)
-        knots = np.asarray(self.partition_for(k).cumulative)
-        lo, counts, knot, span = (np.array(column) for column in zip(*self._pieces))
+        p = self.partition_for(k)
+        knots = np.asarray(p.cumulative)
+        lo, counts, knot, span = (np.array(column) for column in zip(*p.pieces))
         top, counts = lo + counts - 1, counts.astype(np.float64)
         heap_slots = np.asarray(self.heap._slots, dtype=np.int64)
         # stratum j's values u = (j + r) / k lie in [fl(j/k), fl((j+1)/k)], so
@@ -328,7 +317,7 @@ class RankSampler(PrioritizedMemory):
                 piece += np.greater_equal(u, knot_m[:n], out=hit)
             for j, rest in crowded:
                 piece[j::k] += np.searchsorted(rest, u[j::k], side="right")
-            # u can round to 1.0 (piece `segments`), which mode="clip" reads as the last piece
+            # u can round to 1.0, past the last piece with mass, which mode="clip" reads as that piece
             u -= np.take(knot, piece, out=f, mode="clip")
             u /= np.take(span, piece, out=f, mode="clip")
             u *= np.take(counts, piece, out=f, mode="clip")

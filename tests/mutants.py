@@ -44,14 +44,38 @@ MUTANTS = (
     Mutant(
         "rank partition reused across a size change",
         "rank.py",
-        "if p is None or p.size != n or p.segments != segments:",
-        "if p is None or p.segments != segments:",
+        "return build_partition(n, self._alpha, min(k, n))",
+        "return build_partition(self.config.capacity, self._alpha, min(k, n))",
         (
             "tests/test_rank.py::test_a_grown_memory_gets_a_partition_of_its_own_size",
             "tests/test_rank.py::test_sample_draws_what_sample_many_draws_on_a_grown_memory",
             "tests/test_rank.py::test_sample_many_finds_each_piece_on_a_grown_memory[0.7]",
             "tests/test_rank.py::test_sample_many_finds_each_piece_on_a_grown_memory[3.0]",
             "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "rank pieces keep a zero-mass tail",
+        "rank.py",
+        "for j in range(k) if c[j] < 1.0)",
+        "for j in range(k))",
+        (
+            "tests/test_rank.py::test_a_stratum_end_rounding_to_one_skips_a_zero_mass_tail[20.0]",
+            "tests/test_rank.py::test_a_stratum_end_rounding_to_one_skips_a_zero_mass_tail[40.0]",
+            "tests/test_rank.py::test_a_stratum_end_rounding_to_one_skips_a_zero_mass_tail[100.0]",
+        ),
+    ),
+    Mutant(
+        "rank piece mass not differenced",
+        "rank.py",
+        "c[j + 1] - c[j]) for j",
+        "c[j + 1]) for j",
+        (
+            "tests/test_rank.py::test_pieces_come_from_the_boundaries_and_partition_for_is_the_cached_build[16-0.7-16]",
+            "tests/test_rank.py::test_pieces_come_from_the_boundaries_and_partition_for_is_the_cached_build[4096-3.0-16]",
+            "tests/test_rank.py::test_reported_probabilities_are_exact_with_singleton_segments",
+            "tests/test_rank.py::test_power_law_slope_matches_alpha",
+            "tests/test_rank.py::test_sample_draws_what_sample_many_draws[100-16]",
         ),
     ),
     Mutant(

@@ -308,17 +308,17 @@ def test_sample_many_rejects_a_bad_count_before_drawing(sampler_cls, k, batches,
     for _ in range(8):
         sampler.store(TERMINAL)
     sampler.sample(4, np.random.default_rng(1))
-    partition = vars(sampler).get("_partition")
+    cache = build_partition.cache_info()
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
         sampler.sample_many(k, batches, rng=rng)
     if message == "minibatch size":
-        # sample() meets the same check before the rank sampler's partition cache
+        # sample() meets the same check before the rank sampler's partition_for
         with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
             sampler.sample(k, rng)
     assert rng.bit_generator.state == before
-    assert vars(sampler).get("_partition") is partition
+    assert build_partition.cache_info() == cache
 
 
 def test_underfull_memory_samples_with_replacement(sampler_cls):
@@ -447,15 +447,15 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                     assert all(model[slot] is not None for slot in batch.indices)
                     if cls is RankSampler:
                         # the draws index ranks without clamping them, and every live rank is reachable
-                        assert sampler._partition.size == len(sampler)
+                        assert sampler.partition_for(args[0]).boundaries[-1] == len(sampler)
                     if cls is ProportionalSampler:
                         tree = sampler.tree
                         assert batch.probabilities.tolist() == [leaves(tree)[s] / tree.total for s in batch.indices]
                 assert len(sampler) == sum(p is not None for p in model)
                 if cls is RankSampler:
                     assert sampler.heap.steps_since_sort < 7
-                    if sampler._partition is not None:
-                        assert sampler._partition.size <= len(sampler)
+                    if len(sampler):
+                        assert sampler.partition_for(config.minibatch).boundaries[-1] == len(sampler)
                 assert sampler.max_priority == top
                 for slot, priority in enumerate(model):
                     if priority is not None:

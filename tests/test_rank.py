@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,9 +387,25 @@ def test_a_grown_memory_gets_a_partition_of_its_own_size():
         sampler.store(TERMINAL)
         sampler.sample(16, rng=np.random.default_rng(0))
         partition = sampler.partition_for(16)
-        assert partition is sampler._partition
-        assert partition.size == len(sampler)
+        assert partition is build_partition(len(sampler), 0.7, 16)
+        assert partition.boundaries[-1] == len(sampler)
         assert piece_probabilities(partition, range(len(sampler))).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 16])
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("n", [1, 5, 16, 4096])
+def test_pieces_come_from_the_boundaries_and_partition_for_is_the_cached_build(n, alpha, k):
+    """Each piece is its segment's (first rank, rank count, knot, mass); at
+    these alphas every segment has mass. A sampler asks the partition cache
+    for its live count and keeps no partition of its own."""
+    sampler = RankSampler(SamplerConfig(capacity=n, alpha=alpha, minibatch=k))
+    for _ in range(n):
+        sampler.store(TERMINAL)
+    partition = sampler.partition_for(k)
+    b, c = partition.boundaries, partition.cumulative
+    assert partition.pieces == tuple((b[j], b[j + 1] - b[j], c[j], c[j + 1] - c[j]) for j in range(len(b) - 1))
+    assert partition is build_partition(len(sampler), alpha, min(k, len(sampler)))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -528,7 +545,8 @@ def grown_sampler(size, grown, **kwargs):
     for _ in range(grown - size):
         sampler.store(TERMINAL)
     slots, _ = sampler._draw(16, LastStratumTop())
-    assert sampler._partition is not first and sampler._partition.size == grown
+    partition = sampler.partition_for(16)
+    assert partition is not first and partition.boundaries[-1] == grown
     assert rank_of(sampler.heap, slots[-1]) == grown
     return sampler
 
@@ -584,7 +602,7 @@ def test_a_stratum_end_rounding_to_one_draws_from_the_last_piece(size, capacity)
     part = sampler.partition_for(16)
     assert (15 + (1.0 - 2.0**-53)) / 16 == 1.0  # past the last knot's bisect
     slots, probs = sampler._draw(16, LastStratumTop())
-    assert part.boundaries[-2] < rank_of(sampler.heap, slots[-1]) <= min(part.size, size)
+    assert part.boundaries[-2] < rank_of(sampler.heap, slots[-1]) <= min(part.boundaries[-1], size)
     assert probs[-1] == np.diff(part.cumulative)[-1] / np.diff(part.boundaries)[-1]
     assert sampler.sample(16, rng=LastStratumTop()).indices == slots
 
@@ -689,3 +707,25 @@ def test_values_on_the_knots_of_a_crowded_stratum_draw_from_the_piece_they_start
         slots, _ = sampler._draw(16, stub)
         assert rank_of(sampler.heap, slots[-1]) - 1 == piece
         assert sampler.sample_many(16, 2, rng=stub).tolist() == [slots] * 2
+
+
+@pytest.mark.parametrize("alpha", [20.0, 40.0, 100.0])
+def test_a_stratum_end_rounding_to_one_skips_a_zero_mass_tail(alpha):
+    """At a high alpha the tail's mass rounds away and its knots are exactly
+    1.0. A last-stratum value that rounds to 1.0 draws the top rank of the
+    last piece with mass, at a positive probability, on every path."""
+    sampler = stored_sampler(16, alpha=alpha)
+    part = sampler.partition_for(16)
+    with_mass = len(part.pieces)
+    assert with_mass < 16 and part.cumulative[with_mass] == 1.0
+    lo, count, _, mass = part.pieces[-1]
+    stub = RepeatedMinibatch([0.5] * 15 + [1.0 - 2.0**-53])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slots, probs = sampler._draw(16, stub)
+        batch = sampler.sample(16, rng=stub)
+        bulk = sampler.sample_many(16, 3, rng=stub)
+    assert rank_of(sampler.heap, slots[-1]) == lo + count
+    assert probs[-1] == mass / count > 0
+    assert (batch.indices, batch.probabilities.tolist()) == (slots, probs)
+    assert bulk.tolist() == [slots] * 3

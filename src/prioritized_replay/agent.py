@@ -143,7 +143,6 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
     truth = ground_truth_q(spec)
 
     loop_rng = np.random.default_rng(loop_seed)
-    schedule = None
     if config.strategy == "uniform":
         selector = _UniformSelector(len(cells), loop_rng)
     elif config.strategy == "greedy_td":
@@ -152,14 +151,13 @@ def run_training(config: RunConfig, instrument=None, initial_theta=None) -> RunR
         selector = _OracleSelector(config, spec, cells, has_bias, truth)
     else:
         selector = _PrioritizedSelector(config, spec, cells, loop_rng, instrument)
-        schedule = selector.schedule
     updates, converged, final_mse = _loop(
         config, spec, cells, has_bias, truth, theta, selector, instrument
     )
 
     wall_ms = (time.perf_counter() - start) * 1e3
     if instrument is not None:
-        final_beta = schedule.value(updates) if schedule is not None else None
+        final_beta = selector.schedule.value(updates) if selector.schedule is not None else None
         instrument("done", updates=updates, converged=converged, beta=final_beta)
     return RunResult(
         n_states=config.n_states,
@@ -188,11 +186,12 @@ def _exact_sums(cq, bq, truth_flat):
 class _Selector:
     """What the replay loop replays. ``next(updates, cq, bq)`` reads the loop's
     cell values and bias and returns the next slots and their IS weights
-    (``None`` means weight 1), or no slots to end the run; ``refresh(slot,
-    td)``, when set, takes each replayed slot's fresh TD error; ``describe(j,
-    slot)`` adds fields to the ``replay`` event of the batch's ``j``-th slot."""
+    (``None`` means weight 1), or no slots to end the run. ``refresh(slot,
+    td)`` takes each replayed slot's fresh TD error and ``schedule`` anneals
+    beta, when set; ``describe(j, slot)`` adds to the batch's j-th ``replay`` event."""
 
     refresh = None
+    schedule = None
 
     def describe(self, j: int, slot: int) -> dict:
         return {}
@@ -310,7 +309,6 @@ class _PrioritizedSelector(_Selector):
         self.refresh = sampler.update_priority
         self.schedule = AnnealSchedule(beta0, 1.0, config.budget)
         self.use_is_weights = config.use_is_weights
-        self.memory_len = len(sampler)
         self.minibatch = sampler_config.minibatch
         self.rng = rng
 
@@ -321,7 +319,7 @@ class _PrioritizedSelector(_Selector):
         slots, self.probabilities = self.sampler._draw(self.minibatch, self.rng)
         if not self.use_is_weights:
             return slots, None
-        return slots, is_weights(self.probabilities, self.memory_len, self.beta).tolist()
+        return slots, is_weights(self.probabilities, len(self.sampler), self.beta).tolist()
 
     def describe(self, j: int, slot: int) -> dict:
         return {

@@ -162,10 +162,13 @@ def load_sweep_config(path: str | Path | None = None, overrides: dict | None = N
     ``overrides`` (``None`` values skipped) on top.
 
     Lines starting with ``#`` and blank lines are ignored. Errors carry the
-    offending line number.
+    path, and the offending line's number where one line is at fault.
     """
     values: dict = {}
-    lines = Path(path).read_text().splitlines() if path is not None else []
+    try:
+        lines = Path(path).read_text().splitlines() if path is not None else []
+    except UnicodeDecodeError as exc:  # a ValueError, not a SweepConfigError
+        raise SweepConfigError(f"{path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

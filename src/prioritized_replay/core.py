@@ -156,10 +156,10 @@ class PrioritizedMemory:
     """Sliding-window transition store with max-priority insertion.
 
     New transitions receive the running maximum of every priority assigned so
-    far (bootstrapped to 1 for an empty memory), which guarantees they are at
-    least as likely to be replayed as any current occupant. Once full, each
-    store overwrites the oldest slot, replacing its entry in the sampler's
-    index structure in the same call.
+    far (1 for an empty memory), so they are at least as likely to be replayed
+    as any occupant. Slots fill in order and are never freed, so a slot is
+    occupied once stored, and its payload is never inspected. Once full, each
+    store overwrites the oldest slot and replaces its entry in the index.
 
     Subclasses provide the index structure, the priority map and the draw. All methods
     assume a single writer: callers serialize store/update_priority/sample.
@@ -186,10 +186,9 @@ class PrioritizedMemory:
     def store(self, transition: Transition) -> int:
         """Insert ``transition`` at the next window slot and return its slot id."""
         slot = self._cursor
-        transitions = self._transitions
-        # an eviction replaces the slot's entry; a first store adds one
-        self._assign_priority(slot, self._max_priority, transitions[slot] is not None)
-        transitions[slot] = transition
+        # before the count grows: an eviction replaces an entry, a first store adds one
+        self._assign_priority(slot, self._max_priority)
+        self._transitions[slot] = transition
         self._cursor = (slot + 1) % self.config.capacity
         if self._size < self.config.capacity:
             self._size += 1
@@ -220,12 +219,12 @@ class PrioritizedMemory:
         A NaN or infinite ``td_error`` raises ValueError and changes nothing.
         """
         # _check_occupied's test, inline: this runs once per replayed transition
-        if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
+        if not 0 <= slot < self._size:
             raise KeyError(f"slot {slot} is not occupied")
         if not math.isfinite(td_error):
             raise ValueError(f"td_error must be finite, got {td_error!r}")
         priority = td_magnitude(td_error, self.config.clip_td) + self._epsilon
-        self._assign_priority(slot, priority, True)
+        self._assign_priority(slot, priority)
         if priority > self._max_priority:
             self._max_priority = priority
 
@@ -248,13 +247,13 @@ class PrioritizedMemory:
         )
 
     def _check_occupied(self, slot: int) -> None:
-        if not (0 <= slot < self.config.capacity and self._transitions[slot] is not None):
+        if not 0 <= slot < self._size:
             raise KeyError(f"slot {slot} is not occupied")
 
     # -- subclass surface ---------------------------------------------------
 
-    def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
-        """Write a validated priority; ``occupied`` says whether the slot held one."""
+    def _assign_priority(self, slot: int, priority: float) -> None:
+        """Write a validated priority; the slot held one iff it is below the live count."""
         raise NotImplementedError
 
     def _fill(self, count: int, priority: float) -> None:

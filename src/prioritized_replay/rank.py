@@ -207,13 +207,13 @@ def build_partition(n: int, alpha: float, k: int) -> Partition:
 class RankSampler(PrioritizedMemory):
     """Replay memory sampling by |td| rank: P(rank) ~ rank**-alpha.
 
-    The priority key is |td| itself (no floor needed: even the worst rank has
-    positive mass). Draws are stratified: [0, 1) splits into k equal
-    probability ranges, one uniform value is taken from each, and each value
-    maps to a rank through the piecewise-linear cumulative mass of the live
-    count's partition, read from build_partition's cache at every draw. The
-    reported probability of a draw is its segment's exact mass spread uniformly
-    over the segment's ranks, exactly the distribution the draw was taken from.
+    The key is |td| with no floor, since rank, not |td|, sets the probability;
+    a tail of ranks whose mass rounds to 0 (high alpha) is never drawn. Draws
+    are stratified: [0, 1) splits into k equal ranges, one uniform value is
+    taken from each and mapped to a rank through the piecewise-linear
+    cumulative mass of the live count's partition (build_partition's cache).
+    A draw's reported probability is its segment's exact mass spread evenly
+    over the segment's ranks: exactly the distribution it was drawn from.
     """
 
     def __init__(self, config: SamplerConfig):
@@ -221,8 +221,8 @@ class RankSampler(PrioritizedMemory):
         self.heap = RankStore(config.capacity)
         self._alpha = config.alpha
 
-    def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
-        if occupied:
+    def _assign_priority(self, slot: int, priority: float) -> None:
+        if slot < self._size:
             self.heap.update(slot, priority)
         else:
             self.heap.insert(slot, priority)

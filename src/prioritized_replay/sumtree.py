@@ -236,7 +236,7 @@ class ProportionalSampler(PrioritizedMemory):
     # a shallow copy would share the tree rather than reach its refusal
     __reduce__ = SumTree.__reduce__
 
-    def _assign_priority(self, slot: int, priority: float, occupied: bool) -> None:
+    def _assign_priority(self, slot: int, priority: float) -> None:
         try:
             leaf = priority**self._alpha
         except OverflowError:

@@ -260,10 +260,43 @@ MUTANTS = (
     Mutant(
         "rank stores always insert",
         "rank.py",
-        "        if occupied:\n            self.heap.update(slot, priority)",
+        "        if slot < self._size:\n            self.heap.update(slot, priority)",
         "        if False:\n            self.heap.update(slot, priority)",
         (
             "tests/test_core.py::test_clipped_update[rank]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "updates accepted up to the capacity, not the live count",
+        "core.py",
+        "inline: this runs once per replayed transition\n        if not 0 <= slot < self._size:",
+        "inline: this runs once per replayed transition\n        if not 0 <= slot < self.config.capacity:",
+        (
+            "tests/test_core.py::test_update_unoccupied_slot_raises[proportional]",
+            "tests/test_core.py::test_update_unoccupied_slot_raises[rank]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "priority reads accepted up to the capacity, not the live count",
+        "core.py",
+        "    def _check_occupied(self, slot: int) -> None:\n        if not 0 <= slot < self._size:",
+        "    def _check_occupied(self, slot: int) -> None:\n        if not 0 <= slot < self.config.capacity:",
+        # a rank read of an absent slot raises KeyError in the heap as well
+        ("tests/test_core.py::test_update_unoccupied_slot_raises[proportional]",),
+    ),
+    Mutant(
+        "updates refused on a None payload",
+        "core.py",
+        "        if not 0 <= slot < self._size:\n            raise KeyError(f\"slot {slot} is not occupied\")\n        if not math",
+        "        if not (0 <= slot < self._size and self._transitions[slot] is not None):\n"
+        "            raise KeyError(f\"slot {slot} is not occupied\")\n        if not math",
+        (
+            "tests/test_core.py::test_a_none_payload_occupies_its_slot_like_any_other[proportional-store]",
+            "tests/test_core.py::test_a_none_payload_occupies_its_slot_like_any_other[proportional-store_many]",
+            "tests/test_core.py::test_a_none_payload_occupies_its_slot_like_any_other[rank-store]",
+            "tests/test_core.py::test_a_none_payload_occupies_its_slot_like_any_other[rank-store_many]",
             "tests/test_core.py::test_samplers_match_a_naive_model",
         ),
     ),
@@ -380,6 +413,13 @@ MUTANTS = (
         "        return 0 if exc.code == 0 else USAGE_ERROR",
         "        return exc.code",
         ("tests/test_bench.py::test_cli_usage_errors_exit_one",),
+    ),
+    Mutant(
+        "a config file that is not UTF-8 escapes as UnicodeDecodeError",
+        "bench.py",
+        "    except UnicodeDecodeError as exc:",
+        "    except () as exc:",
+        ("tests/test_bench.py::test_a_config_file_that_is_not_utf8_is_a_configuration_error",),
     ),
     Mutant(
         "the out dir is made only after the sweep",

@@ -491,6 +491,18 @@ def test_an_out_dir_that_cannot_be_made_fails_before_any_cell_runs(tmp_path, mon
     assert "configuration error" in err and "Traceback" not in err and not calls
 
 
+def test_a_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench, "run_training", calls.append)
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfes\x00i\x00z\x00e\x00s\x00 \x00=\x00 \x002\x00\n\x00")
+    with pytest.raises(SweepConfigError, match="bad.cfg"):
+        load_sweep_config(config)
+    assert main(["sweep", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "bad.cfg" in err and "Traceback" not in err and not calls
+
+
 def test_cli_out_dir_defaults_to_bench_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(

@@ -258,10 +258,36 @@ def test_clipped_update(sampler_cls):
 def test_update_unoccupied_slot_raises(sampler_cls):
     sampler = make_sampler(sampler_cls)
     sampler.store(TERMINAL)
-    with pytest.raises(KeyError):
-        sampler.update_priority(3, 0.5)
-    with pytest.raises(KeyError):
-        sampler.update_priority(-1, 0.5)
+    for slot in (3, -1):
+        with pytest.raises(KeyError):
+            sampler.update_priority(slot, 0.5)
+        with pytest.raises(KeyError):
+            sampler.priority(slot)
+
+
+@pytest.mark.parametrize("fill", ["store", "store_many"])
+def test_a_none_payload_occupies_its_slot_like_any_other(sampler_cls, fill):
+    """A slot is occupied once stored, whatever its payload: with a None at
+    slot 1, put in by either fill and again by each of two wraps of the
+    window, every slot takes updates, reads back its priority and is drawn."""
+    payloads = [TERMINAL, None, TERMINAL, TERMINAL]
+    sampler = make_sampler(sampler_cls, capacity=4)
+    if fill == "store_many":
+        sampler.store_many(payloads)
+    else:
+        for payload in payloads:
+            sampler.store(payload)
+    for payload in payloads * 2:
+        sampler.store(payload)
+    epsilon = SamplerConfig.epsilon if sampler_cls is ProportionalSampler else 0.0
+    for slot in range(4):
+        sampler.update_priority(slot, 0.25 * (slot + 1))
+        assert sampler.priority(slot) == 0.25 * (slot + 1) + epsilon
+    assert (len(sampler), sampler.max_priority) == (4, 1.0 + epsilon)
+    batch = sampler.sample(4)
+    assert batch.transitions == [payloads[slot] for slot in batch.indices]
+    if sampler_cls is RankSampler:
+        assert sampler.heap.heap_ordered() and len(sampler.heap) == 4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -392,7 +418,7 @@ def pairwise_tree(leaves):
 # with -1 and the first slot past the live ones to be refused
 PICKS = st.integers(0, 99)
 OPERATIONS = st.one_of(
-    st.tuples(st.just("store")),
+    st.tuples(st.just("store"), st.sampled_from([TERMINAL, None])),
     st.tuples(st.just("update"), PICKS, st.floats(-5.0, 5.0)),
     st.tuples(st.just("sample"), st.integers(1, 16)),
     st.tuples(st.just("read")),
@@ -403,14 +429,18 @@ OPERATIONS = st.one_of(
 @given(capacity=st.integers(1, 12), clip=st.booleans(), ops=st.lists(OPERATIONS, min_size=1, max_size=60))
 # most generated sequences make fewer than 7 heap updates; this one makes 8,
 # with draws after the re-sort
-@example(capacity=3, clip=False, ops=[("store",)] * 3 + [("update", 1, -2.0), ("store",), ("sample", 2)] * 4)
+@example(capacity=3, clip=False, ops=[("store", TERMINAL)] * 3 + [("update", 1, -2.0), ("store", None), ("sample", 2)] * 4)
 # a draw at 10 transitions, then one at 11: within 10% of 10, where an
 # approximate partition cache would reuse the old partition
-@example(capacity=11, clip=False, ops=[("store",)] * 10 + [("sample", 4), ("store",), ("sample", 4)])
+@example(capacity=11, clip=False, ops=[("store", TERMINAL)] * 10 + [("sample", 4), ("store", None), ("sample", 4)])
+# a None payload is an entry like any other: its slot takes an update, and the
+# window wraps over it
+@example(capacity=2, clip=False, ops=[("store", None), ("update", 1, 0.5), ("store", TERMINAL), ("store", None)])
 def test_samplers_match_a_naive_model(capacity, clip, ops):
-    """Random store/update/sample sequences against a list of priorities:
-    every priority and the running maximum match after each step, and the
-    proportional sampler's tree equals one built from its leaves."""
+    """Random store/update/sample sequences, storing a transition or None,
+    against a list of priorities: every priority and the running maximum match
+    after each step, a draw returns each slot's payload, and the proportional
+    sampler's tree equals one built from its leaves."""
     config = SamplerConfig(capacity=capacity, alpha=0.6, minibatch=4, clip_td=clip)
     samplers = (ProportionalSampler(config), RankSampler(config))
     # a re-sort every 7 heap updates, so sorts fall inside the sequences; set
@@ -421,11 +451,12 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
             cls = type(sampler)
             epsilon = config.epsilon if cls is ProportionalSampler else 0.0
             model: list[float | None] = [None] * capacity
+            payloads = [None] * capacity
             top, cursor, alpha = 1.0, 0, config.alpha
             for op, *args in ops:
                 if op == "store":
-                    assert sampler.store(TERMINAL) == cursor
-                    model[cursor] = top
+                    assert sampler.store(args[0]) == cursor
+                    model[cursor], payloads[cursor] = top, args[0]
                     cursor = (cursor + 1) % capacity
                 elif op == "update":
                     pick, value = args
@@ -445,6 +476,7 @@ def test_samplers_match_a_naive_model(capacity, clip, ops):
                         continue
                     batch = sampler.sample(args[0])
                     assert all(model[slot] is not None for slot in batch.indices)
+                    assert batch.transitions == [payloads[slot] for slot in batch.indices]
                     if cls is RankSampler:
                         # the draws index ranks without clamping them, and every live rank is reachable
                         assert sampler.partition_for(args[0]).boundaries[-1] == len(sampler)

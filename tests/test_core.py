@@ -269,7 +269,8 @@ def test_update_unoccupied_slot_raises(sampler_cls):
 def test_a_none_payload_occupies_its_slot_like_any_other(sampler_cls, fill):
     """A slot is occupied once stored, whatever its payload: with a None at
     slot 1, put in by either fill and again by each of two wraps of the
-    window, every slot takes updates, reads back its priority and is drawn."""
+    window, every slot takes an update and reads back its priority, and a
+    draw returns the stored payloads."""
     payloads = [TERMINAL, None, TERMINAL, TERMINAL]
     sampler = make_sampler(sampler_cls, capacity=4)
     if fill == "store_many":

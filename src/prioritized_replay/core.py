@@ -161,8 +161,10 @@ class PrioritizedMemory:
     occupied once stored, and its payload is never inspected. Once full, each
     store overwrites the oldest slot and replaces its entry in the index.
 
-    Subclasses provide the index structure, the priority map and the draw. All methods
-    assume a single writer: callers serialize store/update_priority/sample.
+    :meth:`update_priority` makes every check once and hands the priority to
+    the sampler's one write hook, ``_assign_priority``, which :meth:`store`
+    uses too. Subclasses provide it, the index structure and the draw. All
+    methods assume a single writer: callers serialize store/update_priority/sample.
     """
 
     def __init__(self, config: SamplerConfig):

@@ -30,12 +30,13 @@ class SumTree:
     them. ``node_touches`` counts node visits for complexity assertions; a
     write is charged its whole root path, as if refreshed at once.
 
-    ``set_leaf`` writes only the leaf. ``total``, ``nodes`` and ``find_many``
-    first settle the pending writes, by a numpy walk over their ancestors or,
-    from ``_crossover`` of them on, by :meth:`rebuild`. Either recomputes each
-    parent as the sum of its two final children, so what they read is bit for
-    bit the array a refresh on every write would hold. Reading them may
-    therefore write to the array: they fall under the single-writer rule.
+    ``set_leaf``, like ``ProportionalSampler``'s own write, writes only the leaf.
+    ``total``, ``nodes`` and ``find_many`` first settle the pending writes, by
+    a numpy walk over their ancestors or, from ``_crossover`` of them on, by
+    :meth:`rebuild`. Either recomputes each parent as the sum of its two final
+    children, so what they read is bit for bit the array a refresh on every
+    write would hold. Reading them may therefore write to the array: they fall
+    under the single-writer rule.
     """
 
     __slots__ = (
@@ -155,21 +156,19 @@ class SumTree:
         tree's total; a value on a boundary belongs to the right neighbor."""
         # Python floats over the array's own buffer: cheaper than a numpy call per node
         nodes = self._nodes.data
-        levels = self.levels
         offset = self.capacity - 1
         leaves = []
         for value in values:
             node = 0
-            for _ in range(levels):
-                left = 2 * node + 1
-                left_sum = nodes[left]
-                if value < left_sum:
-                    node = left
-                else:
+            # to the left child, or past its mass on to its right sibling
+            while node < offset:
+                node += node + 1
+                left_sum = nodes[node]
+                if value >= left_sum:
                     value -= left_sum
-                    node = left + 1
+                    node += 1
             leaves.append(node - offset)
-        self.node_touches += 2 * levels * len(values)
+        self.node_touches += 2 * self.levels * len(values)
         return leaves
 
     def find_many(self, values) -> np.ndarray:
@@ -218,6 +217,9 @@ class ProportionalSampler(PrioritizedMemory):
 
     The exponent is folded in at write time: leaves store priority**alpha, so
     the tree root is directly the normalizer. Alpha is fixed by the config.
+    A write refuses a power that overflows or a leaf above the tree's bound,
+    then makes :meth:`SumTree.set_leaf`'s write, stale record and charge in
+    one frame, through memoryviews of the tree's and the raw priorities' arrays.
 
     Minibatches are stratified: total mass splits into k equal ranges and one
     value is drawn uniformly from each, which reproduces the target
@@ -228,10 +230,13 @@ class ProportionalSampler(PrioritizedMemory):
 
     def __init__(self, config: SamplerConfig):
         super().__init__(config)
-        self.tree = SumTree(config.capacity)
+        self.tree = tree = SumTree(config.capacity)
         self._alpha = config.alpha
         self._epsilon = config.epsilon
-        self._raw = np.zeros(self.tree.capacity, dtype=np.float64)
+        self._raw = np.zeros(tree.capacity, dtype=np.float64)
+        # _assign_priority's stores: through a memoryview, cheaper than a numpy scalar store
+        self._node_view = tree._nodes.data
+        self._raw_view = self._raw.data
 
     # a shallow copy would share the tree rather than reach its refusal
     __reduce__ = SumTree.__reduce__
@@ -241,10 +246,18 @@ class ProportionalSampler(PrioritizedMemory):
             leaf = priority**self._alpha
         except OverflowError:
             raise ValueError(f"priority {priority!r} ** alpha overflows") from None
-        # the tree validates the leaf, so write it first: a rejected write
-        # leaves the raw priority untouched too
-        self.tree.set_leaf(slot, leaf)
-        self._raw[slot] = priority
+        tree = self.tree
+        # a priority is finite and nonnegative, so only the bound can fail
+        if leaf > tree._max_leaf:
+            raise ValueError(f"leaf values must lie in [0, {tree._max_leaf!r}], got {leaf!r}")
+        node = tree.capacity - 1 + slot
+        self._node_view[node] = leaf
+        self._raw_view[slot] = priority
+        stale = tree._stale
+        stale.append(node)
+        tree.node_touches += tree.levels + 1
+        if len(stale) >= tree.capacity:
+            tree.rebuild()
 
     def _fill(self, count: int, priority: float) -> None:
         # the scalar power that store() computes

@@ -103,11 +103,12 @@ MUTANTS = (
     Mutant(
         "scalar descent one level short",
         "sumtree.py",
-        "            for _ in range(levels):",
-        "            for _ in range(levels - 1):",
+        "            while node < offset:",
+        "            while node < offset >> 1:",
         (
             "tests/test_sumtree.py::test_find_many_matches_scalar_find",
             "tests/test_sumtree.py::test_sample_draws_what_sample_many_draws[37-37-16]",
+            "tests/test_sumtree.py::test_descend_and_find_many_agree_on_boundaries[2]",
             "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
         ),
     ),
@@ -244,6 +245,38 @@ MUTANTS = (
             "tests/test_core.py::test_zero_td_error_keeps_positive_priority[proportional]",
             "tests/test_sumtree.py::test_batch_probabilities_match_the_closed_form",
             "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "the proportional write skips its stale entry",
+        "sumtree.py",
+        "        stale.append(node)\n        tree.node_touches",
+        "        tree.node_touches",
+        (
+            "tests/test_sumtree.py::test_batch_probabilities_match_the_closed_form",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "the proportional write skips the raw priority",
+        "sumtree.py",
+        "        self._raw_view[slot] = priority\n",
+        "",
+        (
+            "tests/test_core.py::test_update_priority_examples[proportional]",
+            "tests/test_core.py::test_clipped_update[proportional]",
+            "tests/test_core.py::test_samplers_match_a_naive_model",
+        ),
+    ),
+    Mutant(
+        "the proportional write drops the leaf bound",
+        "sumtree.py",
+        "        if leaf > tree._max_leaf:",
+        "        if False:",
+        (
+            "tests/test_core.py::test_a_refused_update_changes_nothing[ProportionalSampler-leaf-above-bound]",
+            "tests/test_sumtree.py::test_a_write_that_would_overflow_the_tree_is_refused",
         ),
     ),
     Mutant(

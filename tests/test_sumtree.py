@@ -218,6 +218,38 @@ def test_find_many_matches_scalar_find():
     assert tree.find_many(queries).tolist() == tree._descend(queries.tolist())
 
 
+def boundary_trees(capacity):
+    """Leaves for the boundary checks: small integers, so every prefix sum is
+    exact, with zero-mass leaves at both ends and inside where there is room,
+    then the same pattern of zeros around non-integer masses."""
+    if capacity == 1:
+        return [[3.0], [0.7]]
+    if capacity == 2:
+        return [[0.0, 3.0], [3.0, 0.0], [1.0, 2.0], [0.0, 0.7], [0.3, 0.7]]
+    rng = np.random.default_rng(capacity)
+    whole = rng.integers(0, 4, capacity).astype(np.float64)
+    whole[[0, -1]] = 0.0
+    return [whole.tolist(), np.where(whole > 0, rng.uniform(0.1, 3.0, capacity), 0.0).tolist()]
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 1 << 13])
+def test_descend_and_find_many_agree_on_boundaries(capacity):
+    """On a value exactly on a cumulative boundary, on nextafter(total, 0) and
+    around zero-mass leaves, the scalar and the bulk descent pick the same
+    leaf, never a zero-mass one; with exact prefix sums it is the leaf a
+    linear scan picks, a boundary going to the right neighbor."""
+    for values in boundary_trees(capacity):
+        tree = filled_tree(values)
+        total = tree.total
+        boundaries = [c for c in np.cumsum(values).tolist() if c < total]
+        queries = [0.0, *boundaries, *(np.nextafter(c, 0.0) for c in boundaries if c > 0), np.nextafter(total, 0.0)]
+        found = tree._descend(queries)
+        assert found == tree.find_many(queries).tolist()
+        assert all(values[leaf] > 0.0 for leaf in found)
+        if all(v == int(v) for v in values):
+            assert found == np.searchsorted(np.cumsum(values), queries, side="right").tolist()
+
+
 def test_find_agrees_with_linear_scan_on_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(20):

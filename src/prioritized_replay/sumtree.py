@@ -30,17 +30,16 @@ class SumTree:
     them. ``node_touches`` counts node visits for complexity assertions; a
     write is charged its whole root path, as if refreshed at once.
 
-    ``set_leaf``, like ``ProportionalSampler``'s own write, writes only the leaf.
-    ``total``, ``nodes`` and ``find_many`` first settle the pending writes, by
-    a numpy walk over their ancestors or, from ``_crossover`` of them on, by
-    :meth:`rebuild`. Either recomputes each parent as the sum of its two final
-    children, so what they read is bit for bit the array a refresh on every
-    write would hold. Reading them may therefore write to the array: they fall
-    under the single-writer rule.
+    ``set_leaf`` writes only the leaf. ``total``, ``nodes`` and ``find_many``
+    first settle the pending writes, by a numpy walk over their ancestors or,
+    from ``_crossover`` of them on, by :meth:`rebuild`. Either recomputes each
+    parent as the sum of its two final children, so what they read is bit for
+    bit the array a refresh on every write would hold. Reading them may
+    therefore write to the array: they fall under the single-writer rule.
     """
 
     __slots__ = (
-        "capacity", "levels", "node_touches", "_nodes", "_views", "_stale", "_crossover", "_max_leaf"
+        "capacity", "levels", "node_touches", "_nodes", "_data", "_views", "_stale", "_crossover", "_max_leaf"
     )
 
     def __init__(self, capacity: int):
@@ -49,6 +48,9 @@ class SumTree:
         self.capacity = cap
         self.levels = cap.bit_length() - 1
         self._nodes = nodes = np.zeros(2 * cap - 1, dtype=np.float64)
+        # set_leaf's store and _descend's reads: Python floats over the
+        # array's own buffer, cheaper than a numpy scalar access
+        self._data = nodes.data
         # rebuild()'s operands, sliced once: each level's (left children,
         # right children, parents) views of the array, leaves first
         self._views = []
@@ -109,7 +111,7 @@ class SumTree:
         if not 0.0 <= value <= self._max_leaf:
             raise ValueError(f"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}")
         node = self.capacity - 1 + index
-        self._nodes[node] = value
+        self._data[node] = value
         stale = self._stale
         stale.append(node)
         self.node_touches += self.levels + 1
@@ -154,8 +156,7 @@ class SumTree:
         """The leaf whose half-open cumulative interval [prefix, prefix + p)
         holds each of ``values``, checked by the caller against a settled
         tree's total; a value on a boundary belongs to the right neighbor."""
-        # Python floats over the array's own buffer: cheaper than a numpy call per node
-        nodes = self._nodes.data
+        nodes = self._data
         offset = self.capacity - 1
         leaves = []
         for value in values:
@@ -217,9 +218,9 @@ class ProportionalSampler(PrioritizedMemory):
 
     The exponent is folded in at write time: leaves store priority**alpha, so
     the tree root is directly the normalizer. Alpha is fixed by the config.
-    A write refuses a power that overflows or a leaf above the tree's bound,
-    then makes :meth:`SumTree.set_leaf`'s write, stale record and charge in
-    one frame, through memoryviews of the tree's and the raw priorities' arrays.
+    A write refuses a power that overflows, then hands the leaf to
+    :meth:`SumTree.set_leaf`, which refuses one above the tree's bound, before
+    it stores the raw priority.
 
     Minibatches are stratified: total mass splits into k equal ranges and one
     value is drawn uniformly from each, which reproduces the target
@@ -230,12 +231,11 @@ class ProportionalSampler(PrioritizedMemory):
 
     def __init__(self, config: SamplerConfig):
         super().__init__(config)
-        self.tree = tree = SumTree(config.capacity)
+        self.tree = SumTree(config.capacity)
         self._alpha = config.alpha
         self._epsilon = config.epsilon
-        self._raw = np.zeros(tree.capacity, dtype=np.float64)
-        # _assign_priority's stores: through a memoryview, cheaper than a numpy scalar store
-        self._node_view = tree._nodes.data
+        self._raw = np.zeros(self.tree.capacity, dtype=np.float64)
+        # _assign_priority's store: through a memoryview, cheaper than a numpy scalar store
         self._raw_view = self._raw.data
 
     # a shallow copy would share the tree rather than reach its refusal
@@ -246,18 +246,10 @@ class ProportionalSampler(PrioritizedMemory):
             leaf = priority**self._alpha
         except OverflowError:
             raise ValueError(f"priority {priority!r} ** alpha overflows") from None
-        tree = self.tree
-        # a priority is finite and nonnegative, so only the bound can fail
-        if leaf > tree._max_leaf:
-            raise ValueError(f"leaf values must lie in [0, {tree._max_leaf!r}], got {leaf!r}")
-        node = tree.capacity - 1 + slot
-        self._node_view[node] = leaf
+        # the tree validates the leaf, so write it first: a rejected write
+        # leaves the raw priority untouched too
+        self.tree.set_leaf(slot, leaf)
         self._raw_view[slot] = priority
-        stale = tree._stale
-        stale.append(node)
-        tree.node_touches += tree.levels + 1
-        if len(stale) >= tree.capacity:
-            tree.rebuild()
 
     def _fill(self, count: int, priority: float) -> None:
         # the scalar power that store() computes
@@ -280,7 +272,7 @@ class ProportionalSampler(PrioritizedMemory):
         # conditional clamps for a fraction of the cost of min())
         strata = enumerate(rng.random(k).tolist())
         leaves = tree._descend([v if (v := (j + u) / k * total) < top else top for j, u in strata])
-        nodes = tree._nodes.data
+        nodes = tree._data
         offset = tree.capacity - 1
         return leaves, [nodes[offset + leaf] / total for leaf in leaves]
 

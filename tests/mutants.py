@@ -248,10 +248,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the proportional write skips its stale entry",
+        "a leaf write skips its stale entry",
         "sumtree.py",
-        "        stale.append(node)\n        tree.node_touches",
-        "        tree.node_touches",
+        "        stale.append(node)\n",
+        "",
         (
             "tests/test_sumtree.py::test_batch_probabilities_match_the_closed_form",
             "tests/test_core.py::test_samplers_match_a_naive_model",
@@ -270,12 +270,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the proportional write drops the leaf bound",
+        "a leaf write drops the leaf bound",
         "sumtree.py",
-        "        if leaf > tree._max_leaf:",
-        "        if False:",
+        "        if not 0.0 <= value <= self._max_leaf:\n            raise ValueError(f\"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}\")\n        node =",
+        "        if not 0.0 <= value:\n            raise ValueError(f\"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}\")\n        node =",
         (
-            "tests/test_core.py::test_a_refused_update_changes_nothing[ProportionalSampler-leaf-above-bound]",
+            "tests/test_sumtree.py::test_set_leaf_refuses_a_value_past_its_share_of_the_float_maximum",
             "tests/test_sumtree.py::test_a_write_that_would_overflow_the_tree_is_refused",
         ),
     ),

@@ -5,7 +5,7 @@ bias scalar and update them inline. This object model computes the same
 values one transition at a time from a parameter vector, so a run's recorded
 updates can be replayed through it and compared, and the hindsight oracle's
 pick can be found by brute force. ``leaves`` reads a sum tree's leaves from
-its public array.
+its public array, and ``write_state`` everything a write-back could change.
 """
 
 import numpy as np
@@ -75,6 +75,15 @@ def oracle_select(transitions, q: LinearQ, truth: np.ndarray) -> int:
 def leaves(tree) -> np.ndarray:
     """A sum tree's leaf values: the last ``capacity`` entries of its settled array."""
     return tree.nodes[tree.capacity - 1 :]
+
+
+def write_state(sampler) -> list:
+    """Everything a write-back could change: the running maximum, every
+    priority, and the index's counter and contents, a tree's settled."""
+    state = [sampler.max_priority, [sampler.priority(slot) for slot in range(len(sampler))]]
+    if hasattr(sampler, "tree"):
+        return state + [sampler.tree.node_touches, sampler.tree.nodes.tobytes()]
+    return state + [sampler.heap.steps_since_sort, len(sampler.heap)]
 
 
 def piece_probabilities(partition, ranks) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import leaves
+from reference import leaves, write_state
 
 from prioritized_replay import (
     AnnealSchedule,
@@ -256,13 +256,18 @@ def test_clipped_update(sampler_cls):
 
 
 def test_update_unoccupied_slot_raises(sampler_cls):
+    """A refused update leaves the counters, the settled tree, the priorities
+    and the running maximum as they were."""
     sampler = make_sampler(sampler_cls)
     sampler.store(TERMINAL)
+    sampler.update_priority(0, -2.5)
+    before = write_state(sampler)
     for slot in (3, -1):
         with pytest.raises(KeyError):
             sampler.update_priority(slot, 0.5)
         with pytest.raises(KeyError):
             sampler.priority(slot)
+    assert write_state(sampler) == before
 
 
 @pytest.mark.parametrize("fill", ["store", "store_many"])
@@ -297,61 +302,16 @@ def test_non_finite_priority_is_rejected_without_changing_state(sampler_cls, bad
     for _ in range(3):
         sampler.store(TERMINAL)
     sampler.update_priority(1, 0.4)
-    before = (sampler.priority(1), sampler.max_priority, len(sampler))
+    before = write_state(sampler)
     with pytest.raises(ValueError):
         sampler.update_priority(1, bad)
-    assert (sampler.priority(1), sampler.max_priority, len(sampler)) == before
+    assert write_state(sampler) == before
     slot = sampler.store(TERMINAL)
-    assert sampler.priority(slot) == before[1]
+    assert sampler.priority(slot) == sampler.max_priority
     if sampler_cls is ProportionalSampler:
         assert sampler.tree.total == pytest.approx(leaves(sampler.tree).sum())
     else:
         assert sampler.heap.heap_ordered()
-
-
-# (alpha, slot, td_error, error) of an update_priority that must be refused;
-# a rank key has no power and no bound, so the last two refuse only on the
-# proportional sampler
-REFUSALS = {
-    "unoccupied": (0.7, 6, 0.5, KeyError),
-    "nan": (0.7, 1, math.nan, ValueError),
-    "inf": (0.7, 1, math.inf, ValueError),
-    "power-overflow": (2.0, 1, 1e200, ValueError),
-    "leaf-above-bound": (1.0, 1, 1e308, ValueError),
-}
-
-
-def write_state(sampler):
-    """Everything a write-back could change: the running maximum, every
-    priority, and the index's counter and contents, a tree's settled."""
-    state = [sampler.max_priority, [sampler.priority(slot) for slot in range(len(sampler))]]
-    if isinstance(sampler, ProportionalSampler):
-        return state + [sampler.tree.node_touches, sampler.tree.nodes.tobytes(), sampler._raw.tobytes()]
-    return state + [sampler.heap.steps_since_sort, len(sampler.heap)]
-
-
-@pytest.mark.parametrize(
-    "cls, case",
-    [(ProportionalSampler, case) for case in REFUSALS]
-    + [(RankSampler, case) for case in ("unoccupied", "nan", "inf")],
-    ids=lambda value: value if isinstance(value, str) else value.__name__,
-)
-def test_a_refused_update_changes_nothing(cls, case):
-    """A write-back refused for an unoccupied slot, a non-finite TD error, a
-    power that overflows or a leaf above the tree's bound leaves the counters,
-    the settled tree, the priorities and the running maximum as they were,
-    and the next store still gets the running maximum."""
-    alpha, slot, td_error, error = REFUSALS[case]
-    sampler = make_sampler(cls, alpha=alpha)
-    for _ in range(6):
-        sampler.store(TERMINAL)
-    for written, td in enumerate((0.4, -2.5, 0.9)):
-        sampler.update_priority(written, td)
-    before = write_state(sampler)
-    with pytest.raises(error):
-        sampler.update_priority(slot, td_error)
-    assert write_state(sampler) == before
-    assert sampler.priority(sampler.store(TERMINAL)) == sampler.max_priority
 
 
 def test_sample_empty_memory_raises(sampler_cls):

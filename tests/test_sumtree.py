@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from reference import leaves
+from reference import leaves, write_state
 from scipy import stats
 
 from prioritized_replay import ProportionalSampler, SamplerConfig, SumTree, Transition, sampling_probabilities
@@ -335,12 +335,11 @@ def test_a_write_that_would_overflow_the_tree_is_refused():
     tree, the slot's priority and the running maximum stay as they were."""
     sampler = prepared_sampler([1.0, 1.0], alpha=1.0)
     sampler.update_priority(0, 8e307)
-    tree = sampler.tree
-    before = (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority)
+    before = write_state(sampler)
     with pytest.raises(ValueError):
         sampler.update_priority(1, 1e308)
-    assert (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority) == before
-    assert 0.0 < tree.total < np.inf
+    assert write_state(sampler) == before
+    assert 0.0 < sampler.tree.total < np.inf
     assert len(sampler.sample(2)) == 2
 
 
@@ -348,11 +347,10 @@ def test_a_priority_whose_power_overflows_is_refused_as_a_bad_value():
     """At alpha = 2, 1e200 ** 2 overflows Python's float power: the write
     raises ValueError, like any other bad priority, and changes nothing."""
     sampler = prepared_sampler([1.0, 1.0], alpha=2.0)
-    tree = sampler.tree
-    before = (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority)
+    before = write_state(sampler)
     with pytest.raises(ValueError):
         sampler.update_priority(1, 1e200)
-    assert (tree.nodes.tobytes(), sampler.priority(1), sampler.max_priority) == before
+    assert write_state(sampler) == before
 
 
 def test_rebuild_repairs_corruption():

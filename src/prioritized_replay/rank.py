@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig
+from .core import PrioritizedMemory, SamplerConfig, _stratum_chunks
 from .core import _check_count, _check_nonnegative
 
 __all__ = ["RankStore", "Partition", "build_partition", "RankSampler"]
@@ -294,27 +294,12 @@ class RankSampler(PrioritizedMemory):
         full = min(range(inner.max() + 1), key=lambda m: m + int((inner > m).sum()))
         crowded = [(j, inside[j, full : inner[j]]) for j in np.flatnonzero(inner > full)]
         slots = np.empty((batches, k), dtype=np.int64)
-        step = max(_BULK_CHUNK // k, 1) * k
-        # per-stratum values tiled over a chunk's rows: contiguous operands
-        # run about three times faster than ones broadcast along each row
-        rows = min(batches, step // k)
-        offsets = np.tile(np.arange(k, dtype=np.float64), rows)
-        first_piece = np.tile(first, rows)
-        passes = [np.tile(inside[:, m], rows) for m in range(full)]
-        u_buf, f_buf = np.empty((2, rows * k))
-        piece_buf, i_buf = np.empty((2, rows * k), dtype=np.int64)
-        hit_buf = np.empty(rows * k, dtype=bool)
-        flat = slots.reshape(-1)
-        for start in range(0, flat.size, step):
-            slot = flat[start : start + step]
-            n = slot.size
-            u, f, piece, i, hit = u_buf[:n], f_buf[:n], piece_buf[:n], i_buf[:n], hit_buf[:n]
-            rng.random(out=u)
-            u += offsets[:n]
-            u /= k
-            piece[:] = first_piece[:n]
+        tables = (first, *inside[:, :full].T)
+        chunks = _stratum_chunks(k, slots, rng, tables, scratch=(np.float64, np.int64, np.int64, bool))
+        for u, slot, (first_piece, *passes, f, piece, i, hit) in chunks:
+            piece[:] = first_piece
             for knot_m in passes:
-                piece += np.greater_equal(u, knot_m[:n], out=hit)
+                piece += np.greater_equal(u, knot_m, out=hit)
             for j, rest in crowded:
                 piece[j::k] += np.searchsorted(rest, u[j::k], side="right")
             # u can round to 1.0, past the last piece with mass, which mode="clip" reads as that piece

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig, _check_count
+from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig, _check_count, _stratum_chunks
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -175,9 +175,8 @@ class SumTree:
     def find_many(self, values) -> np.ndarray:
         """Vectorized :meth:`_descend` over an array of checked queries, in its shape.
 
-        Chunks of ``_BULK_CHUNK`` queries descend in place in buffers made once per
-        call. A level steps right on ``r = value >= left_sum`` and subtracts
-        ``left_sum * r``: bit for bit the scalar walk, as every sum is finite."""
+        Chunks of ``_BULK_CHUNK`` queries are copied into buffers made once per
+        call and walked in place by :meth:`_descend_chunk`."""
         v = np.asarray(values, dtype=np.float64)
         total = self._mass()
         # NaN fails both comparisons, so a NaN query is rejected too
@@ -187,22 +186,39 @@ class SumTree:
         value_buf, sum_buf = np.empty((2, min(v.size, _BULK_CHUNK)))
         right_buf = np.empty(sum_buf.size, dtype=bool)
         for start in range(0, v.size, _BULK_CHUNK):
-            node = found[start : start + _BULK_CHUNK]
-            value, left_sum, right = value_buf[: node.size], sum_buf[: node.size], right_buf[: node.size]
-            value[:] = queries[start : start + node.size]
-            node.fill(0)
-            for _ in range(self.levels):
-                node *= 2
-                node += 1
-                # every node is in range; "clip" only skips the checked copy
-                np.take(self._nodes, node, out=left_sum, mode="clip")
-                np.greater_equal(value, left_sum, out=right)
-                left_sum *= right
-                value -= left_sum
-                node += right
-            node -= self.capacity - 1
-        self.node_touches += 2 * self.levels * v.size
+            leaf = found[start : start + _BULK_CHUNK]
+            value = value_buf[: leaf.size]
+            value[:] = queries[start : start + leaf.size]
+            self._descend_chunk(value, leaf, sum_buf[: leaf.size], right_buf[: leaf.size])
         return found.reshape(v.shape)
+
+    def _descend_chunk(self, value: np.ndarray, leaf: np.ndarray, left_sum: np.ndarray, right: np.ndarray) -> None:
+        """The bulk descent of find_many and sample_many: writes into ``leaf`` the
+        leaf of each of ``value`` (checked queries of a settled tree, walked in
+        place), with ``left_sum`` and ``right`` as scratch. A level steps right on
+        ``right = value >= left_sum`` and subtracts ``left_sum * right``: bit for
+        bit the scalar walk, as every sum is finite."""
+        self.node_touches += 2 * self.levels * value.size
+        if not self.levels:
+            leaf.fill(0)
+            return
+        # every walk starts at the root, so the first level compares with one
+        # scalar: no index arithmetic and no gather
+        root_left = self._data[1]
+        np.greater_equal(value, root_left, out=right)
+        np.multiply(right, root_left, out=left_sum)
+        value -= left_sum
+        np.add(right, 1, out=leaf)
+        for _ in range(self.levels - 1):
+            leaf *= 2
+            leaf += 1
+            # every node is in range; "clip" only skips the checked copy
+            np.take(self._nodes, leaf, out=left_sum, mode="clip")
+            np.greater_equal(value, left_sum, out=right)
+            left_sum *= right
+            value -= left_sum
+            leaf += right
+        leaf -= self.capacity - 1
 
     def rebuild(self) -> None:
         """Recompute every internal node from the leaves: clears any drift and settles every pending write."""
@@ -283,14 +299,19 @@ class ProportionalSampler(PrioritizedMemory):
 
         Bulk variant used by distribution validators; the memory must not
         change between batches for the result to be a faithful sample of the
-        current distribution. It draws what ``batches`` :meth:`sample` calls on ``rng`` draw.
+        current distribution. It draws what ``batches`` :meth:`sample` calls on ``rng`` draw,
+        by :meth:`_draw`'s arithmetic in its order, a chunk of whole minibatches
+        (about ``_BULK_CHUNK`` draws) at a time: each chunk's strata are scaled
+        and clamped in place and descend straight into the returned array.
         """
         rng = self._rng_for(k, batches, rng)
-        total = self.tree._mass()
-        values = rng.random((batches, k))
-        values += np.arange(k, dtype=np.float64)
-        values /= k
-        values *= total
-        # guard against the stratum endpoint rounding up onto the total
-        np.minimum(values, np.nextafter(total, 0.0), out=values)
-        return self.tree.find_many(values)
+        tree = self.tree
+        total = tree._mass()
+        top = math.nextafter(total, 0.0)
+        slots = np.empty((batches, k), dtype=np.int64)
+        for value, leaf, scratch in _stratum_chunks(k, slots, rng, scratch=(np.float64, bool)):
+            value *= total
+            # guard against the stratum endpoint rounding up onto the total
+            np.minimum(value, top, out=value)
+            tree._descend_chunk(value, leaf, *scratch)
+        return slots

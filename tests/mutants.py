@@ -115,12 +115,53 @@ MUTANTS = (
     Mutant(
         "bulk descent one level short",
         "sumtree.py",
-        "            for _ in range(self.levels):",
-        "            for _ in range(self.levels - 1):",
+        "        for _ in range(self.levels - 1):",
+        "        for _ in range(self.levels - 2):",
         (
             "tests/test_sumtree.py::test_find_many_examples",
             "tests/test_sumtree.py::test_find_agrees_with_linear_scan_on_random_trees",
             "tests/test_bench.py::test_quick_validation_suite_passes",
+        ),
+    ),
+    Mutant(
+        "bulk descent's first level reads node 2",
+        "sumtree.py",
+        "root_left = self._data[1]",
+        "root_left = self._data[2]",
+        (
+            "tests/test_sumtree.py::test_find_many_examples",
+            "tests/test_sumtree.py::test_descend_and_find_many_agree_on_boundaries[2]",
+            "tests/test_sumtree.py::test_a_tree_of_one_or_two_leaves_draws_in_bulk_what_successive_samples_draw[2-2-5]",
+        ),
+    ),
+    Mutant(
+        "bulk descent's first level skips its subtraction",
+        "sumtree.py",
+        "        value -= left_sum\n        np.add(right, 1, out=leaf)",
+        "        np.add(right, 1, out=leaf)",
+        (
+            "tests/test_sumtree.py::test_find_many_examples",
+            "tests/test_sumtree.py::test_find_agrees_with_linear_scan_on_random_trees",
+            "tests/test_sumtree.py::test_sample_draws_what_sample_many_draws[37-37-16]",
+        ),
+    ),
+    Mutant(
+        "bulk strata not clamped below the total",
+        "sumtree.py",
+        "            np.minimum(value, top, out=value)\n",
+        "",
+        ("tests/test_sumtree.py::test_a_stratum_end_rounding_onto_the_total_lands_on_the_last_leaf_with_mass",),
+    ),
+    Mutant(
+        "a later bulk chunk starts mid-minibatch",
+        "core.py",
+        "    for start in range(0, flat.size, step):",
+        "    for start in range(0, flat.size, step - 1):",
+        (
+            "tests/test_sumtree.py::test_sample_many_draws_what_successive_samples_draw[7-2341]",
+            "tests/test_sumtree.py::test_sample_many_draws_what_successive_samples_draw[16-1025]",
+            "tests/test_rank.py::test_sample_many_draws_what_successive_samples_draw[7-2341]",
+            "tests/test_rank.py::test_sample_many_draws_what_successive_samples_draw[16-1025]",
         ),
     ),
     Mutant(

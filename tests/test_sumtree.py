@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -486,22 +487,43 @@ def test_draw_is_what_sample_wraps(capacity, occupied, k):
         assert (slots, probs) == (batch.indices, batch.probabilities.tolist())
 
 
+# one leaf and two: a tree of no level, and one of the bulk descent's peeled first level alone
+SMALL_TREE_CASES = [(1, 1, 4), (2, 1, 3), (2, 2, 5)]
+
+
+@pytest.mark.parametrize("capacity, occupied, k", SMALL_TREE_CASES)
+def test_a_tree_of_one_or_two_leaves_draws_in_bulk_what_successive_samples_draw(capacity, occupied, k):
+    sampler = stored_sampler(capacity, occupied, k)
+    rng, bulk_rng = np.random.default_rng(4), np.random.default_rng(4)
+    bulk = sampler.sample_many(k, 9, rng=bulk_rng)
+    assert bulk.tolist() == [sampler.sample(k, rng=rng).indices for _ in range(9)]
+    assert bulk_rng.bit_generator.state == rng.bit_generator.state
+    assert set(bulk.ravel().tolist()) == set(range(occupied))
+
+
 @pytest.mark.parametrize("capacity, occupied, k", DRAW_CASES)
 def test_a_draw_touches_two_nodes_per_level_per_stratum(capacity, occupied, k):
     sampler = stored_sampler(capacity, occupied, k)
     tree = sampler.tree
-    for draw in (sampler._draw, sampler.sample):
+    for draw, batches in ((sampler._draw, 1), (sampler.sample, 1), (partial(sampler.sample_many, batches=3), 3)):
         sampler.update_priority(0, 0.5)  # a pending write, settled inside the draw
         before = tree.node_touches
-        draw(k, np.random.default_rng(0))
-        assert tree.node_touches - before == 2 * tree.levels * k
+        draw(k, rng=np.random.default_rng(0))
+        assert tree.node_touches - before == 2 * tree.levels * k * batches
 
 
 class LastStratumTop:
-    """Generator stub whose last stratum draws the largest double below 1."""
+    """Generator stub for minibatches of 16 whose last stratum draws the largest
+    double below 1, one minibatch (``random(16)``) or a bulk buffer of whole
+    minibatches (``random(out=...)``) at a time."""
 
-    def random(self, k):
-        return np.array([0.5] * (k - 1) + [1.0 - 2.0**-53])
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        rows = out.reshape(-1, 16)
+        rows[:, :-1] = 0.5
+        rows[:, -1] = 1.0 - 2.0**-53
+        return out
 
 
 def test_a_stratum_end_rounding_onto_the_total_lands_on_the_last_leaf_with_mass():
@@ -510,3 +532,5 @@ def test_a_stratum_end_rounding_onto_the_total_lands_on_the_last_leaf_with_mass(
     slots, probs = sampler._draw(16, LastStratumTop())
     assert slots[-1] == 4 and probs[-1] > 0.0
     assert sampler.sample(16, rng=LastStratumTop()).indices == slots
+    # the bulk draw clamps inside a chunk as the scalar draw does
+    assert sampler.sample_many(16, 3, rng=LastStratumTop()).tolist() == [slots] * 3

@@ -13,7 +13,6 @@ from .cliffwalk import (
     fill_memory,
     ground_truth_q,
     memory_size,
-    value_iteration_q,
 )
 from .core import (
     PrioritizedMemory,
@@ -23,7 +22,7 @@ from .core import (
     sampling_probabilities,
     td_magnitude,
 )
-from .rank import Partition, RankSampler, RankStore, build_partition
+from .rank import RankSampler, RankStore, build_partition
 from .sumtree import ProportionalSampler, SumTree
 from .weighting import AnnealSchedule, is_weights
 
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealSchedule",
     "Cliffwalk",
-    "Partition",
     "PrioritizedMemory",
     "ProportionalSampler",
     "RankSampler",
@@ -53,5 +51,4 @@ __all__ = [
     "run_training",
     "sampling_probabilities",
     "td_magnitude",
-    "value_iteration_q",
 ]

@@ -101,7 +101,10 @@ class RunConfig:
 class RunResult:
     """Outcome of one trial. ``converged`` False marks a censored run: its
     ``updates`` is the budget, except for a stalled oracle run, which reports
-    where its stall window ended (at most the budget)."""
+    where its stall window ended (at most the budget). Each of a stochastic
+    minibatch's 16 slots takes its step before the next slot's TD error is
+    computed; the paper's Algorithm 1 (section 3.4) instead accumulates a
+    minibatch's weighted steps at fixed parameters and applies their sum once."""
 
     n_states: int
     transitions: int
@@ -334,7 +337,10 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     values converge, the budget runs out, a TD error turns non-finite or the
     selector returns an empty batch. Convergence is tested after every update,
     never before the first, on the incremental squared error, confirmed by an
-    exact left-to-right sum."""
+    exact left-to-right sum. Each of a stochastic minibatch's 16 slots takes
+    its step before the next slot's TD error is computed; the paper's
+    Algorithm 1 (section 3.4) instead accumulates a minibatch's weighted steps
+    at fixed parameters and applies their sum once."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
     next2 = [2 * t.next_state for t in spec.transitions]

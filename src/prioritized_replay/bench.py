@@ -63,6 +63,9 @@ SUMMARY_FILENAME = "summary.csv"
 # rechecked with n = 14 and 16 oracle rows
 ORACLE_MAX_N = 12
 
+# a bare seed count N (seeds 1..N) above this is refused before its tuple is built
+MAX_SEED_COUNT = 1000
+
 
 class SweepConfigError(ValueError):
     """Raised for malformed sweep configuration files or values."""
@@ -87,11 +90,14 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _seeds(raw: str) -> tuple[int, ...]:
-    """A comma list, or a bare count N (at least 1) meaning seeds 1..N."""
+    """A comma list, or a bare count N (1 to ``MAX_SEED_COUNT``) meaning seeds 1..N."""
     if "," in raw:
         return _ints(raw)
-    _check_count("seeds", int(raw))
-    return tuple(range(1, int(raw) + 1))
+    count = int(raw)
+    _check_count("seeds", count)
+    if count > MAX_SEED_COUNT:
+        raise ValueError(f"a seed count must be at most {MAX_SEED_COUNT}, got {count}")
+    return tuple(range(1, count + 1))
 
 
 def _setting(default, parse, help: str, flag: str | None = None):
@@ -117,7 +123,7 @@ class SweepConfig:
     use_is_weights: bool = _setting(
         RunConfig.use_is_weights, parse_on_off, "importance weights on|off", "--is-weights"
     )
-    jobs: int | None = _setting(None, int, "parallel worker processes (default: cpu count)")
+    jobs: int | None = _setting(None, int, "parallel worker processes, at most the cpu count (default: cpu count)")
     out_dir: str = _setting("bench_out", str, "output directory for runs.csv/summary.csv")
 
     def __post_init__(self) -> None:
@@ -213,8 +219,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     runs = expand_runs(config)
     skipped = [run.strategy == "oracle" and run.n_states > ORACLE_MAX_N for run in runs]
     configs = [run for run, skip in zip(runs, skipped) if not skip]
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    jobs = min(jobs, len(configs) or 1)
+    cpus = os.cpu_count() or 1
+    jobs = min(config.jobs or cpus, cpus, len(configs) or 1)
     if jobs > 1 and len(configs) > 1:
         with Pool(processes=jobs) as pool:
             results = pool.map(run_training, configs)

@@ -82,15 +82,13 @@ class SumTree:
     @property
     def nodes(self) -> np.ndarray:
         """The backing array, with every pending write settled."""
-        if self._stale:
-            self._settle()
+        self._settle()
         return self._nodes
 
     @property
     def total(self) -> float:
         """Sum of all leaf values (the root node)."""
-        if self._stale:
-            self._settle()
+        self._settle()
         return float(self._nodes[0])
 
     def _mass(self) -> float:
@@ -137,6 +135,8 @@ class SumTree:
     def _settle(self) -> None:
         """Recompute the ancestors of every stale leaf, children before parents."""
         stale = self._stale
+        if not stale:
+            return
         if len(stale) >= self._crossover:
             self.rebuild()
             return

@@ -92,7 +92,7 @@ MUTANTS = (
     Mutant(
         "total skips the settle",
         "sumtree.py",
-        '"""Sum of all leaf values (the root node)."""\n        if self._stale:\n            self._settle()\n',
+        '"""Sum of all leaf values (the root node)."""\n        self._settle()\n',
         '"""Sum of all leaf values (the root node)."""\n',
         (
             "tests/test_sumtree.py::test_a_stream_sized_window_settles_by_the_walk",
@@ -494,6 +494,73 @@ MUTANTS = (
         "    except UnicodeDecodeError as exc:",
         "    except () as exc:",
         ("tests/test_bench.py::test_a_config_file_that_is_not_utf8_is_a_configuration_error",),
+    ),
+    Mutant(
+        "ground truth one discount short",
+        "cliffwalk.py",
+        "spec.gamma ** (n_states - 1 - states)",
+        "spec.gamma ** (n_states - states)",
+        (
+            "tests/test_cliffwalk.py::test_closed_form_matches_value_iteration[2]",
+            "tests/test_cliffwalk.py::test_closed_form_matches_value_iteration[9]",
+            "tests/test_cliffwalk.py::test_closed_form_matches_value_iteration[16]",
+            "tests/test_cliffwalk.py::test_last_state_right_action_is_exactly_one",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
+        ),
+    ),
+    Mutant(
+        "a minibatch's TD errors read the values at the start of the batch",
+        "agent.py",
+        (
+            "        for j, slot in enumerate(slots):\n"
+            "            c = cells[slot]\n"
+            "            g = discounts[c]\n"
+            "            q_sa = cq[c] + bq\n"
+            "            if g != 0.0:\n"
+            "                ns2 = next2[c]\n"
+            "                boot = cq[ns2] + bq if cq[ns2] >= cq[ns2 + 1] else cq[ns2 + 1] + bq\n"
+        ),
+        (
+            "        cq0, bq0 = list(cq), bq\n"
+            "        for j, slot in enumerate(slots):\n"
+            "            c = cells[slot]\n"
+            "            g = discounts[c]\n"
+            "            q_sa = cq0[c] + bq0\n"
+            "            if g != 0.0:\n"
+            "                ns2 = next2[c]\n"
+            "                boot = cq0[ns2] + bq0 if cq0[ns2] >= cq0[ns2 + 1] else cq0[ns2 + 1] + bq0\n"
+        ),
+        (
+            "tests/test_agent.py::test_fast_loops_match_linear_q_replays",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
+        ),
+    ),
+    Mutant(
+        "a settle with nothing stale reaches the walk",
+        "sumtree.py",
+        "        if not stale:\n            return\n",
+        "",
+        (
+            "tests/test_sumtree.py::test_a_settle_with_nothing_stale_changes_nothing[1]",
+            "tests/test_sumtree.py::test_a_settle_with_nothing_stale_changes_nothing[65536]",
+        ),
+    ),
+    Mutant(
+        "a sweep starts a worker per job beyond the CPU count",
+        "bench.py",
+        "jobs = min(config.jobs or cpus, cpus, len(configs) or 1)",
+        "jobs = min(config.jobs or cpus, len(configs) or 1)",
+        (
+            "tests/test_bench.py::test_a_sweep_starts_no_more_workers_than_cpus[2-2]",
+            "tests/test_bench.py::test_a_sweep_starts_no_more_workers_than_cpus[4-4]",
+        ),
+    ),
+    Mutant(
+        "a bare seed count one above the maximum is let through",
+        "bench.py",
+        "if count > MAX_SEED_COUNT:",
+        "if count > MAX_SEED_COUNT + 1:",
+        ("tests/test_bench.py::test_a_bare_seed_count_above_the_maximum_is_refused",),
     ),
     Mutant(
         "the out dir is made only after the sweep",

@@ -4,11 +4,15 @@ The library's replay loops keep the values as 2n cell values plus a shared
 bias scalar and update them inline. This object model computes the same
 values one transition at a time from a parameter vector, so a run's recorded
 updates can be replayed through it and compared, and the hindsight oracle's
-pick can be found by brute force. ``leaves`` reads a sum tree's leaves from
-its public array, and ``write_state`` everything a write-back could change.
+pick can be found by brute force. ``value_iteration_q`` solves the cliff
+walk's optimal action values as a fixed point, independently of the closed
+form the runs score against. ``leaves`` reads a sum tree's leaves from its
+public array, and ``write_state`` everything a write-back could change.
 """
 
 import numpy as np
+
+from prioritized_replay import Cliffwalk
 
 
 class LinearQ:
@@ -70,6 +74,21 @@ def oracle_select(transitions, q: LinearQ, truth: np.ndarray) -> int:
             best_mse = mse
             best_slot = slot
     return best_slot
+
+
+def value_iteration_q(spec: Cliffwalk) -> np.ndarray:
+    """Independent fixed-point solve of the optimal action values, shape (n, 2)."""
+    n = spec.n_states
+    table = spec.transitions
+    rewards = np.array([t.reward for t in table]).reshape(n, 2)
+    discounts = np.array([t.discount for t in table]).reshape(n, 2)
+    next_states = np.array([t.next_state for t in table]).reshape(n, 2)
+    q = np.zeros((n, 2))
+    while True:
+        backup = rewards + discounts * q[next_states].max(axis=2)
+        if np.abs(backup - q).max() < 1e-12:
+            return backup
+        q = backup
 
 
 def leaves(tree) -> np.ndarray:

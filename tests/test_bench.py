@@ -145,6 +145,51 @@ def test_a_sweep_config_builds_one_run_config_per_cell_not_per_seed(monkeypatch)
             SweepConfig(sizes=(2, 3), seeds=tuple(seeds))
 
 
+def test_a_bare_seed_count_above_the_maximum_is_refused(tmp_path, capsys):
+    """The count is refused before the tuple of seeds 1..N is built, alike
+    in files and flags; the maximum itself is accepted."""
+    too_many = bench.MAX_SEED_COUNT + 1
+    assert bench._seeds(str(bench.MAX_SEED_COUNT)) == tuple(range(1, bench.MAX_SEED_COUNT + 1))
+    message = f"a seed count must be at most {bench.MAX_SEED_COUNT}, got {too_many}"
+    with pytest.raises(SweepConfigError, match=message):
+        bench._parse_value("seeds", str(too_many))
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"seeds = {too_many}\n")
+    with pytest.raises(SweepConfigError, match=f"sweep.cfg:1: {message}"):
+        load_sweep_config(path)
+    args = ["sweep", "--sizes", "2", "--strategies", "uniform", "--representations", "tabular",
+            "--budget", "1", "--jobs", "1", "--out-dir", str(tmp_path / "out"), "--seeds", str(too_many)]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (4, 4), (16, 8), (None, None)])
+def test_a_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, processes):
+    """``jobs=8`` over 8 cells asks the pool for at most the CPU count, or
+    runs serially without a pool when the count is unknown (taken as 1)."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, run, configs):
+            return [run(config) for config in configs]
+
+    monkeypatch.setattr(bench, "Pool", RecordingPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    raw_rows, _ = run_sweep(SweepConfig(**{**TINY, "jobs": 8}))
+    assert len(raw_rows) == 8
+    assert asked == ([] if processes is None else [processes])
+
+
 # -- config files ---------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@ from prioritized_replay import (
     fill_memory,
     ground_truth_q,
     memory_size,
-    value_iteration_q,
 )
+from prioritized_replay.cliffwalk import MAX_STATES
+from reference import value_iteration_q
 
 
 # -- dynamics -------------------------------------------------------------------
@@ -88,7 +89,7 @@ def reference_fill(spec, rng):
     return memory
 
 
-def filled(spec, rng=None):
+def filled(spec, rng):
     return [spec.transitions[c] for c in fill_memory(spec, rng)]
 
 
@@ -102,24 +103,24 @@ def test_fill_matches_the_per_slot_reference(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_fill_size_matches_the_closed_form(n):
-    assert len(fill_memory(Cliffwalk(n))) == memory_size(n) == 2 ** (n + 1) - 2
+    assert len(fill_memory(Cliffwalk(n), np.random.default_rng(0))) == memory_size(n) == 2 ** (n + 1) - 2
 
 
 def test_fill_contains_exactly_one_rewarded_transition():
     for n in (2, 5, 9):
-        memory = filled(Cliffwalk(n))
+        memory = filled(Cliffwalk(n), np.random.default_rng(0))
         assert sum(t.reward for t in memory) == 1.0
 
 
 def test_largest_supported_fill():
-    memory = filled(Cliffwalk(16))
+    memory = filled(Cliffwalk(16), np.random.default_rng(0))
     assert len(memory) == 131070
     assert sum(t.reward for t in memory) == 1.0
 
 
 def test_fill_rejects_oversized_chains():
     with pytest.raises(ValueError):
-        fill_memory(Cliffwalk(17))
+        fill_memory(Cliffwalk(17), np.random.default_rng(0))
 
 
 def test_fill_order_is_seeded():
@@ -154,10 +155,10 @@ def test_random_policy_reaches_the_reward_with_probability_two_to_minus_n():
 # -- ground truth ------------------------------------------------------------------
 
 
-def test_closed_form_matches_value_iteration():
-    for n in (2, 3, 7, 12):
-        spec = Cliffwalk(n)
-        assert np.abs(ground_truth_q(spec) - value_iteration_q(spec)).max() < 1e-11
+@pytest.mark.parametrize("n", range(2, MAX_STATES + 1))
+def test_closed_form_matches_value_iteration(n):
+    spec = Cliffwalk(n)
+    assert np.abs(ground_truth_q(spec) - value_iteration_q(spec)).max() < 1e-11
 
 
 def test_ground_truth_for_two_states():

@@ -140,6 +140,20 @@ def test_a_stream_sized_window_settles_by_the_walk(monkeypatch):
     assert tree._stale == [] and same_bits(tree._nodes, expected)
 
 
+@pytest.mark.parametrize("capacity", [1, 5, 1 << 16])
+def test_a_settle_with_nothing_stale_changes_nothing(capacity):
+    """``_settle()`` on a fresh tree, and again right after a read, leaves the
+    array and the touch count as they were; the walk's crossover is at least
+    one, so an empty stale list would otherwise reach the walk."""
+    tree = SumTree(capacity)
+    for _ in range(2):
+        before = (tree.nodes.tobytes(), tree.node_touches)
+        tree._settle()
+        assert (tree.nodes.tobytes(), tree.node_touches) == before
+        tree.set_leaf(capacity - 1, 2.5)
+        tree.total
+
+
 def test_set_leaf_rejects_bad_input():
     tree = SumTree(4)
     with pytest.raises(ValueError):

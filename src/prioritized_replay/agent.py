@@ -11,7 +11,7 @@ stratified minibatches and fold in importance-sampling weights, the others
 update with weight 1) and how a replay refreshes a priority. A selector ends a
 run, censored, by returning an empty batch; the hindsight oracle does so when
 a stall window passes without a new best error. A run whose TD error turns
-non-finite has diverged: it is censored at its budget.
+non-finite or whose sampler refuses a draw or write is censored at its budget.
 
 The loop alone owns the values: 2n cell values (cell 2 * state + action)
 plus, for the linear representation, one shared bias added to every cell.
@@ -101,10 +101,12 @@ class RunConfig:
 class RunResult:
     """Outcome of one trial. ``converged`` False marks a censored run: its
     ``updates`` is the budget, except for a stalled oracle run, which reports
-    where its stall window ended (at most the budget). Each of a stochastic
-    minibatch's 16 slots takes its step before the next slot's TD error is
-    computed; the paper's Algorithm 1 (section 3.4) instead accumulates a
-    minibatch's weighted steps at fixed parameters and applies their sum once."""
+    where its stall window ended (at most the budget). A run ends censored at
+    its budget once a TD error turns non-finite or its sampler refuses a draw
+    or a priority write. Each of a stochastic minibatch's 16 slots takes its
+    step before the next slot's TD error is computed; the paper's Algorithm 1
+    (section 3.4) instead accumulates a minibatch's weighted steps at fixed
+    parameters and applies their sum once."""
 
     n_states: int
     transitions: int
@@ -334,13 +336,14 @@ class _PrioritizedSelector(_Selector):
 
 def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     """Replay what ``selector`` picks, one weighted update per slot, until the
-    values converge, the budget runs out, a TD error turns non-finite or the
-    selector returns an empty batch. Convergence is tested after every update,
-    never before the first, on the incremental squared error, confirmed by an
-    exact left-to-right sum. Each of a stochastic minibatch's 16 slots takes
-    its step before the next slot's TD error is computed; the paper's
-    Algorithm 1 (section 3.4) instead accumulates a minibatch's weighted steps
-    at fixed parameters and applies their sum once."""
+    values converge, the budget runs out, the selector returns an empty batch,
+    or a TD error turns non-finite or the sampler refuses a draw or a priority
+    write with ValueError; those last two censor the run at its budget. Each
+    update is followed by a convergence test on the incremental squared error,
+    confirmed by an exact left-to-right sum. Each of a stochastic minibatch's
+    16 slots takes its step before the next slot's TD error is computed; the
+    paper's Algorithm 1 (section 3.4) instead accumulates a minibatch's
+    weighted steps at fixed parameters and applies their sum once."""
     rewards = [t.reward for t in spec.transitions]
     discounts = [t.discount for t in spec.transitions]
     next2 = [2 * t.next_state for t in spec.transitions]
@@ -359,7 +362,12 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
     updates = 0
     converged = False
     while updates < budget and not converged:
-        slots, weights = selector.next(updates, cq, bq)
+        try:
+            slots, weights = selector.next(updates, cq, bq)
+        except ValueError:
+            # the sampler refused to draw, as from a tree with no mass: censored
+            updates = budget
+            break
         if not slots:
             break
         for j, slot in enumerate(slots):
@@ -379,7 +387,12 @@ def _loop(config, spec, cells, has_bias, truth, theta, selector, instrument):
                 break
 
             if refresh is not None:
-                refresh(slot, delta)
+                try:
+                    refresh(slot, delta)
+                except ValueError:
+                    # the sampler refused the priority, as past its tree's bound
+                    updates = budget
+                    break
 
             w = 1.0 if weights is None else weights[j]
             d = eta * w * delta

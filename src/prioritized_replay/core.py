@@ -23,7 +23,7 @@ __all__ = [
 # insertion uses the running maximum of all priorities assigned so far.
 INITIAL_PRIORITY = 1.0
 
-# Values per chunk of a bulk draw (find_many; both sample_many, by _stratum_chunks): a
+# Values per chunk of a bulk draw (both sample_many, by _stratum_chunks): a
 # chunk's buffers, 128 KiB each, stay in L2. On a 2-vCPU AVX-512 x86 host, 10^6-value
 # draws ran fastest at 2^14 to 2^16, about 1.5x slower unchunked and 2x slower at 2^10.
 _BULK_CHUNK = 1 << 14
@@ -223,8 +223,8 @@ class PrioritizedMemory:
         """Fill an empty memory with ``transitions`` at slots 0, 1, ...: the
         state that one :meth:`store` per transition leaves, in one call.
 
-        A non-empty memory, or no transitions or more than the capacity,
-        raises ValueError and changes nothing.
+        The one check of a bulk fill: a non-empty memory, or no transitions
+        or more than the capacity, raises ValueError and changes nothing.
         """
         transitions = list(transitions)
         count = len(transitions)
@@ -283,7 +283,7 @@ class PrioritizedMemory:
 
     def _fill(self, count: int, priority: float) -> None:
         """Give slots 0 to ``count`` - 1 of an empty index structure ``priority``,
-        as ``count`` first stores would."""
+        as ``count`` first stores would; unchecked, after :meth:`store_many`'s checks."""
         raise NotImplementedError
 
     def priority(self, slot: int) -> float:

@@ -66,12 +66,9 @@ class RankStore:
         self._slots.append(slot)
         self._sift(end, slot, key)
 
-    def fill(self, count: int, key: float) -> None:
-        """Insert slots 0 to ``count`` - 1 of an empty heap, all at ``key``."""
-        if self._keys:
-            raise ValueError("fill takes an empty heap only")
-        if not 0 < count <= len(self._pos):
-            raise ValueError(f"fill takes 1 to {len(self._pos)} slots, got {count}")
+    def _fill(self, count: int, key: float) -> None:
+        """Insert slots 0 to ``count`` - 1 of an empty heap, all at ``key``.
+        Unchecked: ``PrioritizedMemory.store_many`` checks."""
         # equal keys appended in slot order already form a heap under the
         # strict >, so no insert would move an entry: slot s sits at position s
         self._keys = [key] * count
@@ -228,7 +225,7 @@ class RankSampler(PrioritizedMemory):
             self.heap.insert(slot, priority)
 
     def _fill(self, count: int, priority: float) -> None:
-        self.heap.fill(count, priority)
+        self.heap._fill(count, priority)
 
     def priority(self, slot: int) -> float:
         self._check_occupied(slot)
@@ -271,8 +268,8 @@ class RankSampler(PrioritizedMemory):
         """Draw ``batches`` stratified minibatches at once; returns a (batches, k) slot array.
 
         It draws what ``batches`` :meth:`sample` calls on ``rng`` draw, by
-        :meth:`_draw`'s arithmetic in its order, in chunks of whole
-        minibatches (about ``_BULK_CHUNK`` draws) in place."""
+        :meth:`_draw`'s arithmetic in its order, in place, a chunk of whole
+        minibatches (by :func:`_stratum_chunks`) at a time."""
         rng = self._rng_for(k, batches, rng)
         p = self.partition_for(k)
         knots = np.asarray(p.cumulative)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import _BULK_CHUNK, PrioritizedMemory, SamplerConfig, _check_count, _stratum_chunks
+from .core import PrioritizedMemory, SamplerConfig, _check_count, _stratum_chunks
 
 __all__ = ["SumTree", "ProportionalSampler"]
 
@@ -118,15 +118,10 @@ class SumTree:
         if len(stale) >= self.capacity:
             self.rebuild()
 
-    def fill(self, count: int, value: float) -> None:
+    def _fill(self, count: int, value: float) -> None:
         """Write ``value`` at leaves 0 to ``count`` - 1 and settle them: the
         tree, and the touches charged, that ``count`` :meth:`set_leaf` calls
-        and a read leave."""
-        if not 0 < count <= self.capacity:
-            raise ValueError(f"fill takes 1 to {self.capacity} leaves, got {count}")
-        value = float(value)
-        if not 0.0 <= value <= self._max_leaf:
-            raise ValueError(f"leaf values must lie in [0, {self._max_leaf!r}], got {value!r}")
+        and a read leave. Unchecked: ``PrioritizedMemory.store_many`` checks."""
         first = self.capacity - 1
         self._nodes[first : first + count] = value
         self.node_touches += count * (self.levels + 1)
@@ -173,23 +168,15 @@ class SumTree:
         return leaves
 
     def find_many(self, values) -> np.ndarray:
-        """Vectorized :meth:`_descend` over an array of checked queries, in its shape.
-
-        Chunks of ``_BULK_CHUNK`` queries are copied into buffers made once per
-        call and walked in place by :meth:`_descend_chunk`."""
+        """Vectorized :meth:`_descend` over an array of checked queries, in its
+        shape: one copy of them, walked in place by :meth:`_descend_chunk`."""
         v = np.asarray(values, dtype=np.float64)
         total = self._mass()
         # NaN fails both comparisons, so a NaN query is rejected too
         if v.size and not (v.min() >= 0.0 and v.max() < total):
             raise ValueError("query values must lie in [0, total)")
-        queries, found = v.reshape(-1), np.empty(v.size, dtype=np.int64)
-        value_buf, sum_buf = np.empty((2, min(v.size, _BULK_CHUNK)))
-        right_buf = np.empty(sum_buf.size, dtype=bool)
-        for start in range(0, v.size, _BULK_CHUNK):
-            leaf = found[start : start + _BULK_CHUNK]
-            value = value_buf[: leaf.size]
-            value[:] = queries[start : start + leaf.size]
-            self._descend_chunk(value, leaf, sum_buf[: leaf.size], right_buf[: leaf.size])
+        value, found = v.flatten(), np.empty(v.size, dtype=np.int64)
+        self._descend_chunk(value, found, np.empty_like(value), np.empty(v.size, dtype=bool))
         return found.reshape(v.shape)
 
     def _descend_chunk(self, value: np.ndarray, leaf: np.ndarray, left_sum: np.ndarray, right: np.ndarray) -> None:
@@ -269,7 +256,7 @@ class ProportionalSampler(PrioritizedMemory):
 
     def _fill(self, count: int, priority: float) -> None:
         # the scalar power that store() computes
-        self.tree.fill(count, priority**self._alpha)
+        self.tree._fill(count, priority**self._alpha)
         self._raw[:count] = priority
 
     def priority(self, slot: int) -> float:
@@ -301,7 +288,7 @@ class ProportionalSampler(PrioritizedMemory):
         change between batches for the result to be a faithful sample of the
         current distribution. It draws what ``batches`` :meth:`sample` calls on ``rng`` draw,
         by :meth:`_draw`'s arithmetic in its order, a chunk of whole minibatches
-        (about ``_BULK_CHUNK`` draws) at a time: each chunk's strata are scaled
+        (a :func:`_stratum_chunks` chunk) at a time: each chunk's strata are scaled
         and clamped in place and descend straight into the returned array.
         """
         rng = self._rng_for(k, batches, rng)

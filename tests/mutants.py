@@ -12,7 +12,8 @@ temporary directory, so the pytest configuration's ``pythonpath = ["src"]``
 names the copy, and runs the tests there with ``PYTHONPATH`` on the copy too:
 first every named test on the clean copy, which must pass, then each mutant's
 tests with its edit applied, one mutant at a time. It exits non-zero if a
-test fails on the clean copy or a mutant survives. Hypothesis runs with a
+test fails on the clean copy or a mutant survives or times out (a pytest run
+past ``TIMEOUT_S``, counted as a survivor). Hypothesis runs with a
 fixed seed. ``tests/test_mutants.py`` keeps every ``old`` text unique in its
 file, so a refactor that moves the code must carry the mutant along.
 """
@@ -30,6 +31,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "prioritized_replay"
+
+# Seconds one pytest run may take. A mutant whose run takes longer is named
+# TIMED OUT and counted as not killed: it needs a faster killer.
+TIMEOUT_S = 900
 
 
 class Mutant(NamedTuple):
@@ -569,15 +574,61 @@ MUTANTS = (
         "",
         ("tests/test_bench.py::test_an_out_dir_that_cannot_be_made_fails_before_any_cell_runs",),
     ),
+    Mutant(
+        "store_many takes one transition past the capacity",
+        "core.py",
+        "if not 0 < count <= self.config.capacity:",
+        "if not 0 < count <= self.config.capacity + 1:",
+        tuple(
+            f"tests/test_core.py::test_store_many_refuses_a_non_empty_memory_or_a_bad_count_and_changes_nothing[{kind}-{case}]"
+            for kind in ("proportional", "rank")
+            for case in ("over-capacity", "over-a-non-power-of-two-capacity")
+        ),
+    ),
+    Mutant(
+        "store_many fills a non-empty memory",
+        "core.py",
+        '        if self._size:\n            raise ValueError("store_many fills an empty memory only")',
+        '        if False:\n            raise ValueError("store_many fills an empty memory only")',
+        tuple(
+            f"tests/test_core.py::test_store_many_refuses_a_non_empty_memory_or_a_bad_count_and_changes_nothing[{kind}-{case}]"
+            for kind in ("proportional", "rank")
+            for case in ("into-one", "into-two")
+        ),
+    ),
+    Mutant(
+        "a refused draw escapes the replay loop",
+        "agent.py",
+        "            slots, weights = selector.next(updates, cq, bq)\n        except ValueError:",
+        "            slots, weights = selector.next(updates, cq, bq)\n        except KeyError:",
+        (
+            "tests/test_agent.py::test_an_accepted_config_runs_to_a_result",
+            "tests/test_bench.py::test_a_run_its_sampler_refuses_is_censored_through_the_cli[zero-mass-draw]",
+        ),
+    ),
+    Mutant(
+        "a refused priority write escapes the replay loop",
+        "agent.py",
+        "                    refresh(slot, delta)\n                except ValueError:",
+        "                    refresh(slot, delta)\n                except KeyError:",
+        (
+            "tests/test_agent.py::test_an_accepted_config_runs_to_a_result",
+            "tests/test_bench.py::test_a_run_its_sampler_refuses_is_censored_through_the_cli[leaf-past-the-bound]",
+        ),
+    ),
 )
 
 
-def run_tests(copy: Path, tests) -> tuple[set[str], subprocess.CompletedProcess]:
-    """Run ``tests`` in ``copy``; the node ids that failed or errored, and the finished pytest."""
+def run_tests(copy: Path, tests) -> tuple[set[str], subprocess.CompletedProcess | None]:
+    """Run ``tests`` in ``copy``; the node ids that failed or errored, and the
+    finished pytest, or None for one that ran past ``TIMEOUT_S``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
             "--hypothesis-seed=0", *tests]
-    done = subprocess.run(args, cwd=copy, env=env, capture_output=True, text=True, timeout=900)
+    try:
+        done = subprocess.run(args, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return set(), None
     failed = {
         line.split()[1]
         for line in done.stdout.splitlines()
@@ -600,6 +651,9 @@ def main(argv: list[str]) -> int:
         shutil.copy(ROOT / "pyproject.toml", copy)
         every_test = sorted({test for m in chosen for test in m.tests})
         failed, done = run_tests(copy, every_test)
+        if done is None:
+            print(f"TIMED OUT  the clean copy: {every_test}")
+            return 1
         if done.returncode != 0:
             print(done.stdout + done.stderr)
             print(f"the clean copy fails {sorted(failed)}")
@@ -613,9 +667,13 @@ def main(argv: list[str]) -> int:
                 return 1
             path.write_text(original.replace(mutant.old, mutant.new))
             try:
-                failed, _ = run_tests(copy, mutant.tests)
+                failed, done = run_tests(copy, mutant.tests)
             finally:
                 path.write_text(original)
+            if done is None:
+                print(f"TIMED OUT  {mutant.name}: {list(mutant.tests)}")
+                survivors.append(mutant.name)
+                continue
             passed = [test for test in mutant.tests if test not in failed]
             print(f"{'SURVIVED' if passed else 'killed':8}  {mutant.name}" + (f": {passed} pass" if passed else ""))
             if passed:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prioritized_replay import Cliffwalk, RunConfig, agent, fill_memory, ground_truth_q, run_training, td_magnitude
+from prioritized_replay import Cliffwalk, RunConfig, RunResult, agent, fill_memory, ground_truth_q, run_training, td_magnitude
 from prioritized_replay.agent import INIT_SCALE, REPRESENTATIONS, STRATEGIES, _GreedySelector
 from reference import LinearQ, oracle_select
 
@@ -390,6 +390,37 @@ def test_an_overflowing_run_is_censored_at_its_budget(strategy, representation):
     )
     result = run_training(config)
     assert (result.updates, result.converged) == (config.budget, False)
+
+
+# configs RunConfig accepts, small enough to run many: alphas from uniform to
+# ones whose powers underflow or overflow, and step sizes that diverge
+ACCEPTED_CONFIGS = st.builds(
+    RunConfig,
+    n_states=st.integers(2, 5),
+    strategy=st.sampled_from(STRATEGIES),
+    representation=st.sampled_from(REPRESENTATIONS),
+    seed=st.integers(0, 1000),
+    budget=st.integers(1, 2000),
+    step_size=st.floats(0.0, 10.0, exclude_min=True),
+    alpha=st.none() | st.sampled_from([0.0, 0.5, 1.0, 3.0, 50.0, 1e3, 1e308]) | st.floats(0.0, 1e308),
+    beta0=st.none() | st.floats(0.0, 1.0),
+    clip_td=st.booleans(),
+    use_is_weights=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ACCEPTED_CONFIGS)
+@example(RunConfig(4, "proportional_stochastic", "tabular", budget=2000, alpha=1e308))
+@example(RunConfig(4, "proportional_stochastic", "linear", budget=2000, alpha=1.2, step_size=3.0))
+def test_an_accepted_config_runs_to_a_result(config):
+    """No accepted config raises. The examples' samplers refuse: at alpha
+    1e308 the tree is left with no mass to draw from, and at alpha 1.2 and
+    step size 3 a finite TD error powers past the tree's leaf bound. Each
+    refusal ends the run, censored at its budget."""
+    result = run_training(config)
+    assert isinstance(result, RunResult) and result.updates <= config.budget
+    assert result.converged or result.updates == config.budget or config.strategy == "oracle"
 
 
 def test_the_squared_error_resyncs_every_2_to_the_20_updates(monkeypatch):

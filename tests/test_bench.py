@@ -520,6 +520,25 @@ def test_a_divergent_sweep_runs_through_the_cli(eta, tmp_path, capsys):
         assert {(r["censored"], r["updates"]) for r in raw} == {("true", str(SweepConfig.budget))}
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--representations", "tabular", "--alpha", "1e308"], ["--representations", "linear", "--alpha", "1.2", "--eta", "3"]],
+    ids=["zero-mass-draw", "leaf-past-the-bound"],
+)
+def test_a_run_its_sampler_refuses_is_censored_through_the_cli(flags, tmp_path, capsys):
+    """At alpha 1e308 every priority below 1 powers to a zero leaf, and the
+    tree is left with no mass to draw from; at alpha 1.2 and step size 3 a
+    diverging, finite TD error powers past the tree's leaf bound. Either
+    refusal ends the run, censored at its budget."""
+    code = main(
+        ["sweep", "--sizes", "4", "--seeds", "1", "--jobs", "1", "--strategies", "proportional_stochastic",
+         *flags, "--out-dir", str(tmp_path)]
+    )
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    raw = read_rows(tmp_path / "runs.csv")
+    assert [(r["censored"], r["updates"]) for r in raw] == [("true", str(SweepConfig.budget))]
+
+
 def test_an_out_dir_that_cannot_be_made_fails_before_any_cell_runs(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -577,10 +577,16 @@ def test_store_many_leaves_the_state_of_a_store_per_transition(sampler_cls, capa
 
 
 @pytest.mark.parametrize(
-    "stored, count", [(1, 1), (2, 3), (0, 0), (0, 9)], ids=["into-one", "into-two", "none", "over-capacity"]
+    "capacity, stored, count",
+    [(8, 1, 1), (8, 2, 3), (8, 0, 0), (8, 0, 9), (5, 0, 6)],
+    ids=["into-one", "into-two", "none", "over-capacity", "over-a-non-power-of-two-capacity"],
 )
-def test_store_many_refuses_a_non_empty_memory_or_a_bad_count_and_changes_nothing(sampler_cls, stored, count):
-    sampler = make_sampler(sampler_cls)
+def test_store_many_refuses_a_non_empty_memory_or_a_bad_count_and_changes_nothing(
+    sampler_cls, capacity, stored, count
+):
+    """``store_many`` is the only check of a bulk fill: at capacity 5 the sum
+    tree has 8 leaves and would take 6, so only the memory's bound refuses them."""
+    sampler = make_sampler(sampler_cls, capacity)
     for _ in range(stored):
         sampler.store(TERMINAL)
     before = sampler_state(sampler)

@@ -102,17 +102,6 @@ def test_a_slot_out_of_range_is_refused_before_anything_changes():
     assert store.key_of(3) == 1.0
 
 
-def test_fill_refuses_a_non_empty_heap_or_a_bad_count():
-    store = RankStore(capacity=4)
-    for count in (0, 5):
-        with pytest.raises(ValueError, match="fill"):
-            store.fill(count, 1.0)
-    store.insert(2, 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        store.fill(1, 1.0)
-    assert (store._keys, store._slots, list(store._pos)) == ([1.0], [2], [-1, -1, 0, -1])
-
-
 def test_resort_interval_triggers_a_full_sort(monkeypatch):
     store = RankStore(capacity=16)
     rng = np.random.default_rng(2)

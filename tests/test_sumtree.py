@@ -175,15 +175,6 @@ def test_set_leaf_rejects_bad_input():
     assert tree.nodes[1] == before[1]
 
 
-def test_fill_refuses_a_bad_count_or_value_and_changes_nothing():
-    tree = filled_tree([1, 2, 3, 4])
-    before, touches = tree.nodes.copy(), tree.node_touches
-    for count, value in ((0, 1.0), (5, 1.0), (2, -1.0), (2, float("nan")), (2, float("inf"))):
-        with pytest.raises(ValueError):
-            tree.fill(count, value)
-    assert same_bits(tree.nodes, before) and tree.node_touches == touches
-
-
 def test_writes_reach_the_bound_views():
     tree = filled_tree([1, 2, 3, 4])
     tree.set_leaf(0, 5.0)

@@ -31,16 +31,14 @@ class SumTree:
     write is charged its whole root path, as if refreshed at once.
 
     ``set_leaf`` writes only the leaf. ``total``, ``nodes`` and ``find_many``
-    first settle the pending writes, by a numpy walk over their ancestors or,
-    from ``_crossover`` of them on, by :meth:`rebuild`. Either recomputes each
-    parent as the sum of its two final children, so what they read is bit for
-    bit the array a refresh on every write would hold. Reading them may
-    therefore write to the array: they fall under the single-writer rule.
+    first settle the pending writes, walking their ancestors on the widest
+    levels and adding the others whole (:meth:`_settle`). Each parent is the
+    sum of its two final children, so what they read is bit for bit the array
+    a refresh on every write would hold. Reading them may therefore write to
+    the array: they fall under the single-writer rule.
     """
 
-    __slots__ = (
-        "capacity", "levels", "node_touches", "_nodes", "_data", "_views", "_stale", "_crossover", "_max_leaf"
-    )
+    __slots__ = ("capacity", "levels", "node_touches", "_nodes", "_data", "_views", "_stale", "_max_leaf")
 
     def __init__(self, capacity: int):
         _check_count("capacity", capacity)
@@ -51,8 +49,8 @@ class SumTree:
         # set_leaf's store and _descend's reads: Python floats over the
         # array's own buffer, cheaper than a numpy scalar access
         self._data = nodes.data
-        # rebuild()'s operands, sliced once: each level's (left children,
-        # right children, parents) views of the array, leaves first
+        # the whole-level adds' operands, sliced once: each level's (left
+        # children, right children, parents) views of the array, leaves first
         self._views = []
         first = cap - 1  # a level of m nodes starts at node m - 1
         while first > 0:
@@ -63,13 +61,6 @@ class SumTree:
         self.node_touches = 0
         # node ids of the leaves written since the last settle
         self._stale: list[int] = []
-        # Settling this many stale leaves by walking their ancestors costs
-        # about as much as one rebuild: a walk costs about 1.5 us per level
-        # plus 9.5 ns per stale leaf and level, a rebuild over the bound views
-        # 0.23 us per level plus 0.75 ns per leaf (fitted to settles timed on a
-        # 2-vCPU x86 host over capacities 2^9 to 2^18 and 1 to 512 stale
-        # leaves); below 2^15 leaves a rebuild always wins
-        self._crossover = max(1, cap // (13 * max(self.levels, 1)) - 130)
         # the largest leaf value: a power-of-two share of the float maximum,
         # so every node stays at or below its subtree's share, rounding
         # included, and no sum overflows to inf
@@ -128,23 +119,30 @@ class SumTree:
         self.rebuild()
 
     def _settle(self) -> None:
-        """Recompute the ancestors of every stale leaf, children before parents."""
+        """Recompute the ancestors of every stale leaf, children before parents:
+        walked on the levels of over 1024 + 8 * len(stale) parents, added whole
+        on the narrower ones above; by :meth:`rebuild` unless four levels walk."""
         stale = self._stale
         if not stale:
             return
-        if len(stale) >= self._crossover:
+        # parent counts halve level by level, so the lowest ``walked`` levels
+        # pass the limit; the walk's set-up costs what three of them save
+        walked = self.levels - (1024 + 8 * len(stale)).bit_length()
+        if walked < 4:
             self.rebuild()
             return
         # row d holds every stale leaf's ancestor d + 1 levels up; all leaves
         # sit at one depth, so a row's children are final before it is
         # written, and a leaf written twice writes the same sums twice
-        parents = ((np.array(stale) + 1) >> np.arange(1, self.levels + 1)[:, None]) - 1
+        parents = ((np.array(stale) + 1) >> np.arange(1, walked + 1)[:, None]) - 1
         left = 2 * parents + 1
         nodes = self._nodes
         for parent, left_child, right_child in zip(parents, left, left + 1):
             # recompute from both children rather than propagating a delta
             # so internal sums cannot drift over long runs
             nodes[parent] = nodes[left_child] + nodes[right_child]
+        for left_child, right_child, parent in self._views[walked:]:
+            np.add(left_child, right_child, out=parent)
         stale.clear()
 
     def _descend(self, values: list[float]) -> list[int]:
@@ -153,18 +151,30 @@ class SumTree:
         tree's total; a value on a boundary belongs to the right neighbor."""
         nodes = self._data
         offset = self.capacity - 1
+        count = len(values)
+        # two walks in lockstep, so each level's two loads overlap rather than
+        # each waiting on the one before; an odd count pads with its last value
+        pairs = iter([*values, values[-1]] if count & 1 else values)
         leaves = []
-        for value in values:
-            node = 0
-            # to the left child, or past its mass on to its right sibling
-            while node < offset:
-                node += node + 1
-                left_sum = nodes[node]
-                if value >= left_sum:
-                    value -= left_sum
-                    node += 1
-            leaves.append(node - offset)
-        self.node_touches += 2 * self.levels * len(values)
+        append = leaves.append
+        for va, vb in zip(pairs, pairs):
+            na = nb = 0
+            # to the left child, or past its mass on to its right sibling;
+            # every leaf sits at one depth, so both walks end together
+            while na < offset:
+                na += na + 1
+                nb += nb + 1
+                la, lb = nodes[na], nodes[nb]
+                if va >= la:
+                    va -= la
+                    na += 1
+                if vb >= lb:
+                    vb -= lb
+                    nb += 1
+            append(na - offset)
+            append(nb - offset)
+        del leaves[count:]
+        self.node_touches += 2 * self.levels * count
         return leaves
 
     def find_many(self, values) -> np.ndarray:

@@ -108,13 +108,47 @@ MUTANTS = (
     Mutant(
         "scalar descent one level short",
         "sumtree.py",
-        "            while node < offset:",
-        "            while node < offset >> 1:",
+        "            while na < offset:",
+        "            while na < offset >> 1:",
         (
             "tests/test_sumtree.py::test_find_many_matches_scalar_find",
             "tests/test_sumtree.py::test_sample_draws_what_sample_many_draws[37-37-16]",
             "tests/test_sumtree.py::test_descend_and_find_many_agree_on_boundaries[2]",
+            "tests/test_sumtree.py::test_the_paired_descent_finds_what_one_walk_a_value_finds[1024]",
             "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "the paired descent's second walk reads the first walk's node",
+        "sumtree.py",
+        "la, lb = nodes[na], nodes[nb]",
+        "la, lb = nodes[na], nodes[na]",
+        (
+            "tests/test_sumtree.py::test_the_paired_descent_finds_what_one_walk_a_value_finds[1024]",
+            "tests/test_sumtree.py::test_the_paired_descent_finds_what_one_walk_a_value_finds[262144]",
+            "tests/test_sumtree.py::test_sample_draws_what_sample_many_draws[37-37-16]",
+            "tests/test_golden.py::test_output_matches_the_golden_digests[runs]",
+        ),
+    ),
+    Mutant(
+        "an odd count keeps the paired descent's padding leaf",
+        "sumtree.py",
+        "        del leaves[count:]\n",
+        "",
+        (
+            "tests/test_sumtree.py::test_the_paired_descent_finds_what_one_walk_a_value_finds[1]",
+            "tests/test_sumtree.py::test_the_paired_descent_finds_what_one_walk_a_value_finds[1024]",
+            "tests/test_sumtree.py::test_descend_and_find_many_agree_on_boundaries[2]",
+        ),
+    ),
+    Mutant(
+        "the settle skips the whole-level add just above the walked levels",
+        "sumtree.py",
+        "self._views[walked:]",
+        "self._views[walked + 1 :]",
+        (
+            "tests/test_sumtree.py::test_internal_nodes_equal_child_sums_after_random_updates",
+            "tests/test_sumtree.py::test_a_stream_sized_window_settles_by_the_walk",
         ),
     ),
     Mutant(
@@ -537,6 +571,7 @@ MUTANTS = (
         ),
         (
             "tests/test_agent.py::test_fast_loops_match_linear_q_replays",
+            "tests/test_agent.py::test_each_slot_of_a_minibatch_steps_before_the_next_td_error",
             "tests/test_golden.py::test_output_matches_the_golden_digests[events]",
         ),
     ),
@@ -546,7 +581,6 @@ MUTANTS = (
         "        if not stale:\n            return\n",
         "",
         (
-            "tests/test_sumtree.py::test_a_settle_with_nothing_stale_changes_nothing[1]",
             "tests/test_sumtree.py::test_a_settle_with_nothing_stale_changes_nothing[65536]",
         ),
     ),

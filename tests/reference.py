@@ -7,7 +7,8 @@ updates can be replayed through it and compared, and the hindsight oracle's
 pick can be found by brute force. ``value_iteration_q`` solves the cliff
 walk's optimal action values as a fixed point, independently of the closed
 form the runs score against. ``leaves`` reads a sum tree's leaves from its
-public array, and ``write_state`` everything a write-back could change.
+public array, ``descend`` walks it for one value at a time, and
+``write_state`` reads everything a write-back could change.
 """
 
 import numpy as np
@@ -94,6 +95,25 @@ def value_iteration_q(spec: Cliffwalk) -> np.ndarray:
 def leaves(tree) -> np.ndarray:
     """A sum tree's leaf values: the last ``capacity`` entries of its settled array."""
     return tree.nodes[tree.capacity - 1 :]
+
+
+def descend(tree, values) -> list[int]:
+    """The leaf that a walk down a sum tree's settled public array finds for
+    each of ``values``, one value at a time: at each node to its left child,
+    or, when the value is at least the left child's sum, minus that sum on to
+    its right sibling."""
+    nodes = tree.nodes.tolist()
+    first_leaf = tree.capacity - 1
+    found = []
+    for value in values:
+        node = 0
+        while node < first_leaf:
+            node = 2 * node + 1
+            if value >= nodes[node]:
+                value -= nodes[node]
+                node += 1
+        found.append(node - first_leaf)
+    return found
 
 
 def write_state(sampler) -> list:

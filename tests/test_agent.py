@@ -518,6 +518,43 @@ def test_fast_loops_match_linear_q_replays():
                 assert td == pytest.approx(event["td_error"], abs=1e-12)
 
 
+def test_each_slot_of_a_minibatch_steps_before_the_next_td_error():
+    """The loop's update rule: within one weighted minibatch, each slot takes
+    its step before the next slot's TD error is computed. Slot 1's transition
+    bootstraps from the cell that slot 0's step moves, so its TD error reads
+    that step; under Algorithm 1's accumulated rule it would read the values
+    at the start of the batch instead."""
+    spec = Cliffwalk(3)
+    # cell 2 * state + action: state 1's advance to state 2, then state 0's to state 1
+    cells = [2 * 1 + spec.right_action(1), 2 * 0 + spec.right_action(0)]
+    theta = np.zeros(dimension(3))
+    theta[[4, 5]] = 1.0  # state 2's values
+    theta[cells[0]] = 0.5  # state 1's larger value, which slot 1 bootstraps from
+    weights = [0.5, 0.75]
+
+    class TwoSlotBatch(agent._Selector):
+        batches = [([0, 1], weights)]
+
+        def next(self, updates, cq, bq):
+            return self.batches.pop() if self.batches else ([], None)
+
+        def describe(self, j, slot):
+            return {}
+
+    config = RunConfig(n_states=3, strategy="proportional_stochastic", budget=10, mse_threshold=0.0)
+    events = []
+    agent._loop(
+        config, spec, cells, False, ground_truth_q(spec), theta, TwoSlotBatch(),
+        lambda event, **data: events.append(data),
+    )
+    memory = [spec.transitions[c] for c in cells]
+    sequential = LinearQ(theta)
+    expected = [sequential.apply(memory[slot], w) for slot, w in zip((0, 1), weights)]
+    batch_start = [LinearQ(theta).td_error(t) for t in memory]
+    assert [event["td_error"] for event in events] == expected
+    assert expected[0] == batch_start[0] and expected[1] != batch_start[1]
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n_states=4, strategy="nonsense")

@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from reference import leaves, write_state
+from reference import descend, leaves, write_state
 from scipy import stats
 
 from prioritized_replay import ProportionalSampler, SamplerConfig, SumTree, Transition, sampling_probabilities
@@ -87,18 +87,18 @@ def test_capacity_rounds_up_to_power_of_two():
 
 def test_internal_nodes_equal_child_sums_after_random_updates():
     """Whichever read settles them, pending writes leave the array a refresh
-    on every write gives, bit for bit. Below 2^15 leaves every batch settles
-    by rebuild(); at 2^16 every batch but capacity + 3 is walked, including
-    36 writes to 3 leaves, which must repeat leaves; capacity + 3 also makes
-    set_leaf rebuild on its own."""
+    on every write gives, bit for bit. Up to 2^14 leaves every batch settles
+    by rebuild(); at 2^16 and 2^18 every batch but capacity + 3 walks the
+    wide levels and adds the narrow ones whole, including 36 writes to 3
+    leaves, which must repeat leaves; capacity + 3 also makes set_leaf
+    rebuild on its own."""
     rng = np.random.default_rng(0)
     reads = (
         lambda tree: tree.total,
         lambda tree: tree.nodes,
         lambda tree: tree.find_many([0.0]),
     )
-    assert SumTree(1 << 16)._crossover > 36
-    for capacity in (1, 2, 5, 32, 512, 4096, 1 << 16):
+    for capacity in (1, 2, 5, 32, 512, 4096, 1 << 13, 1 << 16, 1 << 18):
         for read in reads:
             tree = SumTree(capacity)
             reference = [0.0] * (2 * tree.capacity - 1)
@@ -106,45 +106,81 @@ def test_internal_nodes_equal_child_sums_after_random_updates():
             # (writes, the leaves they are drawn from)
             batches = [(b, cap) for b in (1, 2, 3, 4, 16, 36)] + [(36, 3), (cap + 3, cap), (1, cap), (16, cap)]
             for batch, spread in batches:
-                for _ in range(batch):
-                    index, value = int(rng.integers(min(spread, cap))), float(rng.uniform(0, 5))
+                indexes, values = rng.integers(min(spread, cap), size=batch), rng.uniform(0, 5, batch)
+                for index, value in zip(indexes.tolist(), values.tolist()):
                     tree.set_leaf(index, value)
                     eager_write(reference, index, value)
                 read(tree)
                 # the read itself settled the array
                 assert same_bits(tree._nodes, np.array(reference)), (capacity, batch, spread)
             nodes = tree.nodes
-            for node in range(tree.capacity - 1):
-                assert nodes[node] == nodes[2 * node + 1] + nodes[2 * node + 2]
+            assert np.array_equal(nodes[: cap - 1], nodes[1::2] + nodes[2::2])
+
+
+def stale_window(capacity, writes, seed):
+    """A settled tree of ``capacity`` random leaves, then ``writes`` pending
+    writes, the last sixth of them to leaves already written once."""
+    rng = np.random.default_rng(seed)
+    tree = SumTree(capacity)
+    tree._nodes[capacity - 1 :] = rng.uniform(0, 5, capacity)
+    tree.rebuild()
+    fresh = writes - writes // 6
+    batch = [(int(i), float(v)) for i, v in zip(rng.integers(capacity, size=fresh), rng.uniform(0, 5, fresh))]
+    for index, value in batch + [(index, value + 1.0) for index, value in batch[: writes // 6]]:
+        tree.set_leaf(index, value)
+    assert len(tree._stale) == writes
+    return tree
 
 
 def test_a_stream_sized_window_settles_by_the_walk(monkeypatch):
     """36 stale leaves over 2^18 (perfbench stream's writes between two draws)
-    settle by the walk, never by rebuild(), to the array a rebuild gives."""
-    rng = np.random.default_rng(5)
-    tree = SumTree(1 << 18)
-    tree._nodes[tree.capacity - 1 :] = rng.uniform(0, 5, tree.capacity)
-    tree.rebuild()
-    writes = [(int(i), float(v)) for i, v in zip(rng.integers(tree.capacity, size=30), rng.uniform(0, 5, 30))]
-    writes += [(index, value + 1.0) for index, value in writes[:6]]  # six leaves written twice
-    for index, value in writes:
-        tree.set_leaf(index, value)
+    never settle by rebuild(): the lowest levels are walked, so there a node
+    off every stale path keeps a planted error, and the levels above are
+    added whole, so there every node is its children's sum again. Without
+    the plant the array is bit for bit the one a rebuild gives."""
+    tree, planted_tree = stale_window(1 << 18, 36, seed=5), stale_window(1 << 18, 36, seed=6)
     expected = rebuilt(tree._nodes[tree.capacity - 1 :])
 
-    def refused():
+    def refused(self):
         raise AssertionError("settled by rebuild()")
 
     monkeypatch.setattr(SumTree, "rebuild", refused)
-    assert len(tree._stale) == 36
     tree.total
     assert tree._stale == [] and same_bits(tree._nodes, expected)
+
+    tree = planted_tree
+    paths = {(node + 1) >> level for node in tree._stale for level in range(tree.levels + 1)}
+    nodes = tree._nodes
+    planted = []
+    # on each internal level, from the leaves up, the first node that no
+    # stale path crosses; the top few levels have none
+    for level in range(1, tree.levels):
+        free = next((h for h in range(tree.capacity >> level, tree.capacity >> (level - 1)) if h not in paths), 0)
+        if free:
+            nodes[free - 1] += 1.0
+            planted.append(free - 1)
+    tree.total
+    summed = [nodes[i] == nodes[2 * i + 1] + nodes[2 * i + 2] for i in planted]
+    walked = summed.index(True)
+    assert walked >= 1 and summed == [False] * walked + [True] * (len(planted) - walked)
+
+
+def test_a_chain_sized_tree_settles_by_rebuild(monkeypatch):
+    """16 stale leaves over 2^13 (a minibatch of the n = 12 chain's memory)
+    walk no level: they settle by one rebuild(), to the array it gives."""
+    tree = stale_window(1 << 13, 16, seed=7)
+    expected = rebuilt(tree._nodes[tree.capacity - 1 :])
+    rebuilds, rebuild = [], SumTree.rebuild
+    monkeypatch.setattr(SumTree, "rebuild", lambda self: rebuilds.append(rebuild(self)))
+    tree.total
+    assert len(rebuilds) == 1 and tree._stale == [] and same_bits(tree._nodes, expected)
 
 
 @pytest.mark.parametrize("capacity", [1, 5, 1 << 16])
 def test_a_settle_with_nothing_stale_changes_nothing(capacity):
     """``_settle()`` on a fresh tree, and again right after a read, leaves the
-    array and the touch count as they were; the walk's crossover is at least
-    one, so an empty stale list would otherwise reach the walk."""
+    array and the touch count as they were; at 2^16 an empty stale list
+    would otherwise reach the walk."""
     tree = SumTree(capacity)
     for _ in range(2):
         before = (tree.nodes.tobytes(), tree.node_touches)
@@ -254,6 +290,37 @@ def test_descend_and_find_many_agree_on_boundaries(capacity):
         assert all(values[leaf] > 0.0 for leaf in found)
         if all(v == int(v) for v in values):
             assert found == np.searchsorted(np.cumsum(values), queries, side="right").tolist()
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, 1 << 10, 1 << 18])
+def test_the_paired_descent_finds_what_one_walk_a_value_finds(capacity):
+    """``_descend`` walks its values two at a time, an odd count padded with
+    its last value; for every count, each value gets the leaf that a walk of
+    it alone finds: on an exact cumulative boundary, one ulp either side of
+    one, at 0 and just below the total, and beside zero-mass leaves, which it
+    never lands on. The touch count grows by 2 * levels per value given."""
+    rng = np.random.default_rng(capacity)
+    cap = SumTree(capacity).capacity
+    for values in map(np.array, boundary_trees(capacity)):
+        tree = SumTree(capacity)
+        tree._nodes[cap - 1 : cap - 1 + capacity] = values
+        tree.rebuild()
+        total = tree.total
+        assert total > 0.0
+        edges = np.cumsum(values)
+        edges = edges[edges < total]
+        edges = rng.choice(edges, min(edges.size, 200), replace=False).tolist()
+        queries = [0.0, *edges, np.nextafter(total, 0.0), *rng.uniform(0, total, 40).tolist()]
+        queries += [float(np.nextafter(c, side)) for c in edges for side in (0.0, total)]
+        queries = [q for q in queries if q < total]
+        expected = descend(tree, queries)
+        assert all(values[leaf] > 0.0 for leaf in expected)
+        for count in (1, 2, 3, 16, 31, 32, 33):
+            for start in range(0, len(queries), count):
+                chunk = queries[start : start + count]
+                before = tree.node_touches
+                assert tree._descend(chunk) == expected[start : start + count], count
+                assert tree.node_touches - before == 2 * tree.levels * len(chunk)
 
 
 def test_find_agrees_with_linear_scan_on_random_trees():
